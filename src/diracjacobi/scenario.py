@@ -6,6 +6,11 @@ list of checks.  Expressions use the symcalc grammar.  Every named object
 must be declared before it is referenced; validation collects all problems
 rather than stopping at the first.
 
+Structure, groupoid and check kinds live in one registry per family
+(``STRUCTURES``, ``GROUPOIDS``, ``CHECKS``).  Each entry declares its
+arguments once; the loader resolves every argument to the object it names
+or parses, so a runner receives objects and nothing is looked up twice.
+
 Checks may carry ``expect: pass|fail|error`` (default pass); a run is
 successful when every verdict matches its expectation, which lets negative
 controls live in fixture files.  Reports are deterministic for a fixed
@@ -16,9 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
@@ -91,29 +97,6 @@ from .symcalc import (
     parse,
 )
 
-CHECK_KINDS = (
-    "expr-zero",
-    "maximal-isotropy",
-    "involutivity",
-    "structure-equal",
-    "forward-map",
-    "conformal-roundtrip",
-    "cocycle",
-    "cocycle-values",
-    "closed-2-cochain",
-    "central-extension-agrees",
-    "action-iso",
-    "groupoid-axioms",
-    "multiplicative-function",
-    "precontact",
-    "presymplectic",
-    "eta-omega-roundtrip",
-    "omega-descends",
-    "extract-structure",
-    "equivalence-commutes",
-    "contact-nondegenerate",
-)
-
 
 class ScenarioError(ValueError):
     """Scenario validation failed; .problems lists every issue found."""
@@ -128,7 +111,7 @@ class CheckSpec:
     kind: str
     name: str
     expect: str  # pass | fail | error
-    args: Mapping[str, Any]
+    args: Mapping[str, Any]  # resolved arguments, by the runner's parameter names
 
 
 @dataclass
@@ -150,15 +133,429 @@ class Scenario:
 
 
 # --------------------------------------------------------------------------
+# declared arguments
+# --------------------------------------------------------------------------
+
+_BAD = object()  # an argument that did not resolve; its problem is recorded
+REQUIRED = object()  # default of an argument that must be given
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", str: "a name"}
+
+
+def _missing(b: "_Builder", key: str, where: str):
+    b.fail(f"{where}: missing required argument '{key}'")
+    return _BAD
+
+
+class Ref(NamedTuple):
+    """The name of an object declared in ``section``; resolves to the object."""
+
+    key: str
+    section: str
+    required: bool = True
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        if value is None:
+            return _missing(b, self.key, where) if self.required else None
+        obj = b.lookup(self.section, value, where)
+        return _BAD if obj is None else obj
+
+
+class Value(NamedTuple):
+    """A scalar of ``type``, one of ``choices`` when they are given."""
+
+    key: str
+    type: type
+    default: Any
+    choices: tuple = ()
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        if value is None:
+            return self.default
+        if self.choices:
+            if value in self.choices:
+                return value
+            wanted = "one of " + ", ".join(f"'{c}'" for c in self.choices)
+        elif isinstance(value, self.type) and (self.type is bool or not isinstance(value, bool)):
+            return value
+        else:
+            wanted = _TYPE_NAMES[self.type]
+        b.fail(f"{where}: '{self.key}' must be {wanted}")
+        return _BAD
+
+
+class Expression(NamedTuple):
+    """Expression text, or a list of them if ``many``, parsed on ``on(resolved)``.
+
+    ``on`` maps the arguments resolved so far to the coordinates to parse on;
+    ``default`` is text, None (may be absent) or REQUIRED.
+    """
+
+    key: str
+    on: Callable[[dict], tuple[str, ...]]
+    default: Any = "0"
+    many: bool = False
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        if value is None:
+            if self.default is REQUIRED:
+                return _missing(b, self.key, where)
+            if self.default is None:
+                return None
+            value = self.default
+        coords = self.on(got)
+        if not self.many:
+            e = b.expr_on(coords, value, f"{where}, {self.key}")
+            return _BAD if e is None else e
+        if not isinstance(value, (list, tuple)):
+            b.fail(f"{where}: '{self.key}' must be a list of expressions")
+            return _BAD
+        exprs = tuple(b.expr_on(coords, v, f"{where}, {self.key}[{i}]") for i, v in enumerate(value))
+        return _BAD if any(e is None for e in exprs) else exprs
+
+
+def _chart_of(key: str):
+    """Where an expression argument parses: on the chart of argument ``key``."""
+    return lambda got: got[key].chart.coords
+
+
+class MapComponents(NamedTuple):
+    """One component expression per coordinate of the chart ``target``, on ``source``."""
+
+    key: str
+    source: str
+    target: str
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        src, dst = got[self.source], got[self.target]
+        where = f"{where}, {self.key}"
+        if not isinstance(value, list) or len(value) != dst.dim:
+            b.fail(f"{where}: needs {dst.dim} component expressions")
+            return _BAD
+        exprs = [b.expr_on(src.coords, c, f"{where}[{i}]") for i, c in enumerate(value)]
+        return _BAD if any(e is None for e in exprs) else SmoothMap(src, dst, tuple(exprs))
+
+
+class Generators(NamedTuple):
+    """The generator list of a ``frame`` structure: X, xi and, in E1, f and g."""
+
+    key: str
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        chart, ambient = got["chart"], got["ambient"]
+        if not isinstance(value, list) or not value:
+            b.fail(f"{where}: needs a nonempty generator list")
+            return _BAD
+        gens = []
+        for i, g in enumerate(value):
+            gw = f"{where}, generator {i}"
+            if not isinstance(g, Mapping):
+                b.fail(f"{gw}: must be a mapping")
+                return _BAD
+            X = b.vector_field(chart, g.get("X") or {}, f"{gw}, X")
+            xi = b.form_table(chart, 1, g.get("xi") or {}, gw)
+            if X is None or xi is None:
+                return _BAD
+            xi = DifferentialForm(chart, 1, xi)
+            if ambient == "tm":
+                gens.append(SectionTM(X, xi))
+                continue
+            f = b.expr_on(chart.coords, g.get("f", "0"), f"{gw}, f")
+            hslot = b.expr_on(chart.coords, g.get("g", "0"), f"{gw}, g")
+            if f is None or hslot is None:
+                return _BAD
+            gens.append(SectionE1(X, f, xi, hslot))
+        return tuple(gens)
+
+
+class Cochain(NamedTuple):
+    """``skew-pairing`` or a table ``"i,j": expr`` on the frame of ``structure``."""
+
+    key: str
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        if value is None or value == "skew-pairing":
+            return "skew-pairing"
+        if not isinstance(value, Mapping):
+            b.fail(f"{where}: {self.key} must be 'skew-pairing' or an index table")
+            return _BAD
+        L = got["structure"]
+        size = len(L.generators)
+        table = {}
+        for key, text in value.items():
+            parts = str(key).replace(" ", "").split(",")
+            if len(parts) != 2 or not all(p.isdecimal() and int(p) < size for p in parts):
+                b.fail(f"{where}: {self.key} index '{key}' must be i,j with 0 <= i, j < {size}")
+                return _BAD
+            e = b.expr_on(L.chart.coords, text, f"{where}, {self.key} {key}")
+            if e is None:
+                return _BAD
+            table[(int(parts[0]), int(parts[1]))] = e
+        return table
+
+
+class Kind:
+    """A registered kind: the function its declared arguments are passed to.
+
+    Argument keys become parameter names with '-' read as '_'.  Runners call
+    library functions through their module-level names, never as stored
+    function objects, so that tracing which rebinds those names sees them.
+    """
+
+    def __init__(self, fn: Callable, *args):
+        self.fn, self.args = fn, args
+
+
+_ON_STRUCTURE = _chart_of("structure")
+
+
+def _frame(chart, ambient, generators, rank):
+    ambient = Ambient.TM_TSTAR if ambient == "tm" else Ambient.E1
+    return FrameSubbundle(ambient, chart, generators, len(generators) if rank is None else rank)
+
+
+# fn(**args) -> FrameSubbundle
+STRUCTURES: dict[str, Kind] = {
+    "theta": Kind(lambda form: construct_L_theta(form), Ref("form", "forms")),
+    "jacobi": Kind(
+        lambda bivector, field: construct_L_jacobi(
+            bivector, VectorField.zero(bivector.chart) if field is None else field),
+        Ref("bivector", "multivectors"), Ref("field", "fields", False)),
+    "lift": Kind(lambda of: lift_dirac(of), Ref("of", "structures")),
+    "two-form-graph": Kind(lambda form: graph_of_two_form(form), Ref("form", "forms")),
+    "bivector-graph": Kind(lambda bivector: graph_of_bivector(bivector), Ref("bivector", "multivectors")),
+    "two-form-pair": Kind(lambda form, mu: construct_two_form_pair(form, mu),
+                          Ref("form", "forms"), Ref("mu", "forms")),
+    "conformal": Kind(lambda of, factor: conformal_change(of, ConformalFactor(factor, of.chart)),
+                      Ref("of", "structures"), Expression("factor", _chart_of("of"), REQUIRED)),
+    "induced": Kind(lambda of, time: induced_dirac_on_MxR(of, time=time),
+                    Ref("of", "structures"), Value("time", str, "t")),
+    "frame": Kind(_frame, Ref("chart", "charts"), Value("ambient", str, "e1", choices=("tm", "e1")),
+                  Generators("generators"), Value("rank", int, None)),
+}
+
+def _explicit_groupoid(policy, total, base, pairs, source, target, unit, inversion, pair_left,
+                       pair_right, multiplication):
+    return GroupoidModel(total, base, source, target, unit, inversion, pairs, pair_left, pair_right,
+                         multiplication)
+
+
+# fn(policy, **args) -> GroupoidModel
+GROUPOIDS: dict[str, Kind] = {
+    "pair": Kind(lambda policy, base: pair_groupoid(base), Ref("base", "charts")),
+    "pair-line": Kind(lambda policy, base, time: pair_groupoid_with_line(base, time=time),
+                      Ref("base", "charts"), Value("time", str, "t")),
+    "action": Kind(
+        lambda policy, of, sigma, time, fiber: build_action_groupoid(
+            of, sigma, policy, time=time, fiber=fiber),
+        Ref("of", "groupoids"), Expression("sigma", lambda got: got["of"].total.coords, REQUIRED),
+        Value("time", str, "t"), Value("fiber", str, "u")),
+    "explicit": Kind(
+        _explicit_groupoid, Ref("total", "charts"), Ref("base", "charts"), Ref("pairs", "charts"),
+        MapComponents("source", "total", "base"), MapComponents("target", "total", "base"),
+        MapComponents("unit", "base", "total"), MapComponents("inversion", "total", "total"),
+        MapComponents("pair_left", "pairs", "total"), MapComponents("pair_right", "pairs", "total"),
+        MapComponents("multiplication", "pairs", "total")),
+}
+
+
+def _zero_witness(rep) -> dict | None:
+    return None if rep.is_zero else {"point": rep.witness_point, "value": rep.witness_value}
+
+
+def _expr_zero(policy, name, chart, expr):
+    rep = check_zero_all([expr], policy, coords=chart.coords, label=name)
+    mode = "symbolic" if rep.verdict.value == "ZERO" else "sampled"
+    return passfail(name, rep.is_zero, mode=mode, witness=_zero_witness(rep))
+
+
+def _conformal_roundtrip(policy, name, structure, factor):
+    factor = ConformalFactor(factor, structure.chart)
+    back = conformal_change(conformal_change(structure, factor), factor.inverse())
+    return check_structures_equal(back, structure, policy, name=name)
+
+
+def _cocycle(policy, name, structure, values):
+    A = AlgebroidOnL(structure)
+    phi = extract_cocycle(structure) if values is None else Cocycle1(values)
+    return check_cocycle(A, phi, policy, name=name)
+
+
+def _cocycle_values(policy, name, structure, values):
+    phi = extract_cocycle(structure)
+    if len(values) != len(phi.values):
+        return error_result(name, f"expected {len(phi.values)} values, got {len(values)}")
+    ok = all(is_structurally_zero(a - b) for a, b in zip(phi.values, values))
+    details = () if ok else ("extracted cocycle differs from the declared values",)
+    return passfail(name, ok, mode="symbolic", details=details)
+
+
+def _closed_2_cochain(policy, name, structure, omega):
+    A = AlgebroidOnL(structure)
+    if omega != "skew-pairing":
+        Om = FrameCochain2.from_table(len(structure.generators), omega)
+    elif structure.ambient is not Ambient.TM_TSTAR:
+        return error_result(name, "skew-pairing cochain needs a TM+T*M frame")
+    else:
+        Om = FrameCochain2.from_function(structure, omega_skew_half)
+    return algebroid_differential_2(A, Om, policy, name=name)
+
+
+def _central_extension_agrees(policy, name, structure, f1, f2):
+    L0 = structure
+    if L0.ambient is not Ambient.TM_TSTAR:
+        return error_result(name, "central extension needs a TM+T*M frame")
+    A0 = AlgebroidOnL(L0)
+    ok = True
+    details: list[str] = []
+    witness = None
+    mode = "symbolic"
+    for i, gi in enumerate(L0.generators):
+        for j, gj in enumerate(L0.generators):
+            if i == j:
+                continue
+            li = SectionE1(gi.X, ZERO, gi.xi, f1)
+            lj = SectionE1(gj.X, ZERO, gj.xi, f2)
+            eb = extended_courant_bracket(li, lj)
+            ce_sec, ce_scalar = central_extension_bracket(A0, omega_skew_half, (gi, f1), (gj, f2))
+            diffs = (
+                [a - b for a, b in zip(eb.X.components, ce_sec.X.components)]
+                + [eb.f]
+                + list((eb.xi - ce_sec.xi).coefficients())
+                + [eb.g - ce_scalar]
+            )
+            rep = check_zero_all(diffs, policy, coords=L0.chart.coords, label=f"{name}:{i},{j}")
+            if rep.verdict.value != "ZERO":
+                mode = "sampled"
+            if not rep.is_zero:
+                ok = False
+                details.append(f"brackets disagree on generators ({i}, {j})")
+                witness = witness or {
+                    "pair": [i, j],
+                    "point": rep.witness_point,
+                    "value": rep.witness_value,
+                }
+    return passfail(name, ok, mode=mode, details=tuple(details), witness=witness)
+
+
+def _eta_omega_roundtrip(policy, name, data, fiber, time):
+    gm, pd = data
+    action = build_action_groupoid(gm, pd.sigma, policy, time=time, fiber=fiber)
+    ps = eta_to_omega(pd, fiber=fiber)
+    sym = check_presymplectic(action, ps, policy, name=f"{name}:presymplectic")
+    if not sym.passed:
+        return CheckResult(
+            name, sym.verdict, sym.mode, sym.residual_max, sym.residual_mean,
+            ("presymplectic side fails",) + sym.details, sym.witness,
+        )
+    back = omega_to_eta(ps, pd.sigma, policy, fiber=fiber)
+    diff = back.eta - pd.eta
+    rep = check_zero_all(
+        list(diff.coefficients()) + [back.sigma - pd.sigma],
+        policy,
+        coords=gm.total.coords,
+        label=f"{name}:roundtrip",
+    )
+    details = () if rep.is_zero else ("round-trip does not return the original data",)
+    return passfail(name, rep.is_zero, mode="sampled", details=details, witness=_zero_witness(rep))
+
+
+def _omega_descends(policy, name, omega, fiber, sigma):
+    pd = omega_to_eta(PresymplecticData(omega), sigma, policy, fiber=fiber)  # raises on non-homogeneous
+    return passfail(name, True, mode="sampled", details=(f"descended to '{pd.eta.chart.name}'",))
+
+
+def _equivalence_commutes(policy, name, data, factor, expected):
+    gm, pd = data
+    factor = ConformalFactor(factor, gm.base)
+    pd2 = equivalence_transform(pd, factor, gm)
+    pre = check_precontact(gm, pd2, policy, name=f"{name}:precontact")
+    if not pre.passed:
+        return CheckResult(
+            name, pre.verdict, pre.mode, pre.residual_max, pre.residual_mean,
+            ("transformed data fails the precontact check",) + pre.details, pre.witness,
+        )
+    base = extract_LM(gm, pd, policy, name=f"{name}:base")
+    if not base.result.passed:
+        return base.result
+    return extract_LM(gm, pd2, policy, expected=conformal_change(expected, factor), name=name).result
+
+
+# fn(policy, name, **args) -> CheckResult
+CHECKS: dict[str, Kind] = {
+    "expr-zero": Kind(_expr_zero, Ref("chart", "charts"),
+                      Expression("expr", lambda got: got["chart"].coords)),
+    "maximal-isotropy": Kind(
+        lambda policy, name, structure: check_maximal_isotropy(structure, policy, name=name),
+        Ref("structure", "structures")),
+    "involutivity": Kind(
+        lambda policy, name, structure: check_involutivity(structure, policy, name=name),
+        Ref("structure", "structures")),
+    "structure-equal": Kind(
+        lambda policy, name, a, b: check_structures_equal(a, b, policy, name=name),
+        Ref("a", "structures"), Ref("b", "structures")),
+    "forward-map": Kind(
+        lambda policy, name, map, source, target, anti: check_forward_map(
+            map, source, target, policy, anti=anti, name=name),
+        Ref("map", "maps"), Ref("source", "structures"), Ref("target", "structures"),
+        Value("anti", bool, False)),
+    "conformal-roundtrip": Kind(_conformal_roundtrip, Ref("structure", "structures"),
+                                Expression("factor", _ON_STRUCTURE, "1")),
+    "cocycle": Kind(_cocycle, Ref("structure", "structures"),
+                    Expression("values", _ON_STRUCTURE, None, many=True)),
+    "cocycle-values": Kind(_cocycle_values, Ref("structure", "structures"),
+                           Expression("values", _ON_STRUCTURE, (), many=True)),
+    "closed-2-cochain": Kind(_closed_2_cochain, Ref("structure", "structures"), Cochain("omega")),
+    "central-extension-agrees": Kind(_central_extension_agrees, Ref("structure", "structures"),
+                                     Expression("f1", _ON_STRUCTURE), Expression("f2", _ON_STRUCTURE)),
+    "action-iso": Kind(
+        lambda policy, name, structure, time, drop_scale: check_action_iso(
+            structure, policy, time=time, drop_scale=drop_scale, name=name),
+        Ref("structure", "structures"), Value("time", str, "t"), Value("drop-scale", bool, False)),
+    "groupoid-axioms": Kind(
+        lambda policy, name, groupoid: check_groupoid(groupoid, policy, name=name),
+        Ref("groupoid", "groupoids")),
+    "multiplicative-function": Kind(
+        lambda policy, name, groupoid, function: check_multiplicative_function(
+            groupoid, function, policy, name=name),
+        Ref("groupoid", "groupoids"), Expression("function", lambda got: got["groupoid"].total.coords)),
+    "precontact": Kind(
+        lambda policy, name, data, kernel_at_all_samples: check_precontact(
+            *data, policy, kernel_at_all_samples=kernel_at_all_samples, name=name),
+        Ref("data", "precontact"), Value("kernel-at-all-samples", bool, False)),
+    "presymplectic": Kind(
+        lambda policy, name, groupoid, omega, field: check_presymplectic(
+            groupoid, PresymplecticData(omega, field), policy, name=name),
+        Ref("groupoid", "groupoids"), Ref("omega", "forms"), Ref("field", "fields", False)),
+    "eta-omega-roundtrip": Kind(_eta_omega_roundtrip, Ref("data", "precontact"),
+                                Value("fiber", str, "u"), Value("time", str, "t")),
+    "omega-descends": Kind(
+        _omega_descends, Ref("omega", "forms"), Value("fiber", str, "u"),
+        Expression("sigma", lambda got: tuple(c for c in got["omega"].chart.coords if c != got["fiber"]))),
+    "extract-structure": Kind(
+        lambda policy, name, data, expected, fiber_samples: extract_LM(
+            *data, policy, expected=expected, fiber_samples=fiber_samples, name=name).result,
+        Ref("data", "precontact"), Ref("expected", "structures", False),
+        Value("fiber-samples", int, 5)),
+    "equivalence-commutes": Kind(
+        _equivalence_commutes, Ref("data", "precontact"),
+        Expression("factor", lambda got: got["data"][0].base.coords, "1"), Ref("expected", "structures")),
+    "contact-nondegenerate": Kind(
+        lambda policy, name, form: check_contact_form(form, policy, name=name), Ref("form", "forms")),
+}
+
+
+# --------------------------------------------------------------------------
 # loading
 # --------------------------------------------------------------------------
 
+_MAP_ARGS = (Ref("source", "charts"), Ref("target", "charts"),
+             MapComponents("components", "source", "target"))
+
 
 class _Builder:
-    def __init__(self, doc: Mapping, digest: str, source_name: str):
+    def __init__(self, doc: Mapping):
         self.doc = doc
-        self.digest = digest
-        self.source_name = source_name
         self.problems: list[str] = []
         self.charts: dict[str, Chart] = {}
         self.expressions: dict[str, tuple[Chart, Expr]] = {}
@@ -181,83 +578,80 @@ class _Builder:
             return {}
         return dict(raw)
 
+    def mappings(self, key: str, label: str):
+        """(name, spec, where) for each entry of section ``key`` that is a mapping."""
+        for name, spec in self.section(key).items():
+            where = f"{label} '{name}'"
+            if isinstance(spec, Mapping):
+                yield name, spec, where
+            else:
+                self.fail(f"{where}: must be a mapping")
+
     # -- resolution helpers ------------------------------------------------
 
-    def chart(self, name, where: str) -> Chart | None:
-        if not isinstance(name, str) or name not in self.charts:
-            self.fail(f"{where}: unknown chart '{name}'")
+    def lookup(self, section: str, name, where: str):
+        """The object ``name`` declared in ``section``, or None with a problem recorded."""
+        table = getattr(self, section)
+        if not isinstance(name, str) or name not in table:
+            label = "precontact data" if section == "precontact" else section.rstrip("s")
+            self.fail(f"{where}: unknown {label} '{name}'")
             return None
-        return self.charts[name]
+        if section == "precontact":  # runners take the groupoid itself, not its name
+            gm_name, pd = table[name]
+            return self.groupoids[gm_name], pd
+        return table[name]
 
-    def expr_on(self, chart: Chart, text, where: str) -> Expr | None:
+    def expr_on(self, coords: tuple[str, ...], text, where: str) -> Expr | None:
         if isinstance(text, (int, float)):
             text = str(text)
         if not isinstance(text, str):
             self.fail(f"{where}: expected an expression string, got {text!r}")
             return None
         try:
-            return parse(text, chart.coords)
+            return parse(text, coords)
         except ExprError as exc:
             self.fail(f"{where}: {exc}")
             return None
 
-    def named(self, registry: dict, label: str, name, where: str):
-        if not isinstance(name, str) or name not in registry:
-            self.fail(f"{where}: unknown {label} '{name}'")
-            return None
-        return registry[name]
+    def resolve(self, args: tuple, spec: Mapping, where: str, fixed: tuple[str, ...]) -> dict | None:
+        """Resolve the declared ``args`` of ``spec``; None if any failed.
 
-    # -- sections ----------------------------------------------------------
-
-    def build_charts(self) -> None:
-        for name, coords in self.section("charts").items():
-            if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
-                self.fail(f"chart '{name}': coordinates must be a list of names")
-                continue
+        Keys of ``spec`` outside ``args`` and ``fixed`` are problems.  An
+        argument that reads one that did not resolve (KeyError) is skipped,
+        since that argument's problem is already recorded.
+        """
+        declared = {arg.key for arg in args}
+        for key in spec:
+            if key not in declared and key not in fixed:
+                self.fail(f"{where}: unknown argument '{key}'")
+        got: dict[str, Any] = {}
+        ok = True
+        for arg in args:
             try:
-                self.charts[name] = Chart(name, tuple(coords))
-            except ChartError as exc:
-                self.fail(f"chart '{name}': {exc}")
+                value = arg.resolve(self, spec.get(arg.key), got, where)
+            except KeyError:
+                value = _BAD
+            if value is _BAD:
+                ok = False
+            else:
+                got[arg.key.replace("-", "_")] = value
+        return got if ok else None
 
-    def build_expressions(self) -> None:
-        for name, spec in self.section("expressions").items():
-            where = f"expression '{name}'"
-            if not isinstance(spec, Mapping):
-                self.fail(f"{where}: must be a mapping with chart/expr")
-                continue
-            chart = self.chart(spec.get("chart"), where)
-            if chart is None:
-                continue
-            e = self.expr_on(chart, spec.get("expr"), where)
-            if e is not None:
-                self.expressions[name] = (chart, e)
+    def vector_field(self, chart: Chart, comps, where: str) -> VectorField | None:
+        if not isinstance(comps, Mapping):
+            self.fail(f"{where}: components must map coordinate names to expressions")
+            return None
+        table = {}
+        for cname, text in comps.items():
+            if cname not in chart.coords:
+                self.fail(f"{where}: no coordinate '{cname}' on chart '{chart.name}'")
+            else:
+                table[cname] = self.expr_on(chart.coords, text, f"{where}, component {cname}")
+        if len(table) < len(comps) or any(e is None for e in table.values()):
+            return None
+        return VectorField.from_dict(chart, table)
 
-    def build_fields(self) -> None:
-        for name, spec in self.section("fields").items():
-            where = f"field '{name}'"
-            if not isinstance(spec, Mapping):
-                self.fail(f"{where}: must be a mapping")
-                continue
-            chart = self.chart(spec.get("chart"), where)
-            if chart is None:
-                continue
-            comps = spec.get("components") or {}
-            table = {}
-            bad = False
-            for cname, text in comps.items():
-                if cname not in chart.coords:
-                    self.fail(f"{where}: no coordinate '{cname}' on chart '{chart.name}'")
-                    bad = True
-                    continue
-                e = self.expr_on(chart, text, f"{where}, component {cname}")
-                if e is None:
-                    bad = True
-                    continue
-                table[cname] = e
-            if not bad:
-                self.fields[name] = VectorField.from_dict(chart, table)
-
-    def _table(self, chart: Chart, degree: int, coeffs, where: str):
+    def form_table(self, chart: Chart, degree: int, coeffs, where: str):
         table = {}
         if not isinstance(coeffs, Mapping):
             self.fail(f"{where}: coeffs must map index tuples to expressions")
@@ -272,273 +666,98 @@ class _Builder:
             except ChartError as exc:
                 self.fail(f"{where}: {exc}")
                 return None
-            e = self.expr_on(chart, text, f"{where}, coefficient {key}")
+            e = self.expr_on(chart.coords, text, f"{where}, coefficient {key}")
             if e is None:
                 return None
             table[idx] = table[idx] + e if idx in table else e
         return table
 
-    def build_forms(self) -> None:
-        for name, spec in self.section("forms").items():
-            where = f"form '{name}'"
-            if not isinstance(spec, Mapping):
-                self.fail(f"{where}: must be a mapping")
-                continue
-            chart = self.chart(spec.get("chart"), where)
-            if chart is None:
-                continue
-            degree = spec.get("degree", 1)
-            table = self._table(chart, degree, spec.get("coeffs") or {}, where)
-            if table is not None:
-                try:
-                    self.forms[name] = DifferentialForm(chart, degree, table)
-                except ChartError as exc:
-                    self.fail(f"{where}: {exc}")
+    # -- sections ----------------------------------------------------------
 
-    def build_multivectors(self) -> None:
-        for name, spec in self.section("multivectors").items():
-            where = f"multivector '{name}'"
-            if not isinstance(spec, Mapping):
-                self.fail(f"{where}: must be a mapping")
+    def build_charts(self) -> None:
+        for name, coords in self.section("charts").items():
+            if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
+                self.fail(f"chart '{name}': coordinates must be a list of names")
                 continue
-            chart = self.chart(spec.get("chart"), where)
+            try:
+                self.charts[name] = Chart(name, tuple(coords))
+            except ChartError as exc:
+                self.fail(f"chart '{name}': {exc}")
+
+    def build_expressions(self) -> None:
+        for name, spec, where in self.mappings("expressions", "expression"):
+            chart = self.lookup("charts", spec.get("chart"), where)
             if chart is None:
                 continue
-            degree = spec.get("degree", 2)
-            table = self._table(chart, degree, spec.get("coeffs") or {}, where)
+            e = self.expr_on(chart.coords, spec.get("expr"), where)
+            if e is not None:
+                self.expressions[name] = (chart, e)
+
+    def build_fields(self) -> None:
+        for name, spec, where in self.mappings("fields", "field"):
+            chart = self.lookup("charts", spec.get("chart"), where)
+            if chart is not None:
+                field = self.vector_field(chart, spec.get("components") or {}, where)
+                if field is not None:
+                    self.fields[name] = field
+
+    def build_tensors(self, key: str, label: str, cls, default_degree: int) -> None:
+        for name, spec, where in self.mappings(key, label):
+            chart = self.lookup("charts", spec.get("chart"), where)
+            if chart is None:
+                continue
+            degree = spec.get("degree", default_degree)
+            if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+                self.fail(f"{where}: degree must be a non-negative integer")
+                continue
+            table = self.form_table(chart, degree, spec.get("coeffs") or {}, where)
             if table is not None:
                 try:
-                    self.multivectors[name] = Multivector(chart, degree, table)
+                    getattr(self, key)[name] = cls(chart, degree, table)
                 except ChartError as exc:
                     self.fail(f"{where}: {exc}")
 
     def build_maps(self) -> None:
-        for name, spec in self.section("maps").items():
-            where = f"map '{name}'"
-            if not isinstance(spec, Mapping):
-                self.fail(f"{where}: must be a mapping")
-                continue
-            src = self.chart(spec.get("source"), where)
-            dst = self.chart(spec.get("target"), where)
-            comps = spec.get("components")
-            if src is None or dst is None:
-                continue
-            if not isinstance(comps, list) or len(comps) != dst.dim:
-                self.fail(f"{where}: needs {dst.dim} component expressions")
-                continue
-            exprs = [self.expr_on(src, c, f"{where}, component {i}") for i, c in enumerate(comps)]
-            if all(e is not None for e in exprs):
-                self.maps[name] = SmoothMap(src, dst, tuple(exprs))
+        for name, spec, where in self.mappings("maps", "map"):
+            args = self.resolve(_MAP_ARGS, spec, where, ())
+            if args is not None:
+                self.maps[name] = args["components"]
 
-    def _conformal(self, structure_chart: Chart, text, where: str) -> ConformalFactor | None:
-        e = self.expr_on(structure_chart, text, where)
-        if e is None:
-            return None
-        try:
-            return ConformalFactor(e, structure_chart)
-        except ChartError as exc:
-            self.fail(f"{where}: {exc}")
-            return None
-
-    def build_structures(self) -> None:
-        for name, spec in self.section("structures").items():
-            where = f"structure '{name}'"
-            if not isinstance(spec, Mapping):
-                self.fail(f"{where}: must be a mapping")
+    def build_kinds(self, key: str, label: str, registry: dict, *leading):
+        """(name, object) for each entry of section ``key``, built by its kind."""
+        for name, spec, where in self.mappings(key, label):
+            kind = registry.get(spec.get("kind"))
+            if kind is None:
+                self.fail(f"{where}: unknown {label} kind '{spec.get('kind')}'")
                 continue
-            kind = spec.get("kind")
+            args = self.resolve(kind.args, spec, where, ("kind",))
+            if args is None:
+                continue
             try:
-                built = self._build_structure(kind, spec, where)
+                built = kind.fn(*leading, **args)
             except (ChartError, GroupoidModelError) as exc:
                 self.fail(f"{where}: {exc}")
-                built = None
-            if built is not None:
-                self.structures[name] = built
-
-    def _build_structure(self, kind, spec, where) -> FrameSubbundle | None:
-        if kind == "theta":
-            form = self.named(self.forms, "form", spec.get("form"), where)
-            return None if form is None else construct_L_theta(form)
-        if kind == "jacobi":
-            biv = self.named(self.multivectors, "multivector", spec.get("bivector"), where)
-            if biv is None:
-                return None
-            if "field" in spec:
-                E = self.named(self.fields, "field", spec.get("field"), where)
-                if E is None:
-                    return None
-            else:
-                E = VectorField.zero(biv.chart)
-            return construct_L_jacobi(biv, E)
-        if kind == "lift":
-            inner = self.named(self.structures, "structure", spec.get("of"), where)
-            return None if inner is None else lift_dirac(inner)
-        if kind == "two-form-graph":
-            form = self.named(self.forms, "form", spec.get("form"), where)
-            return None if form is None else graph_of_two_form(form)
-        if kind == "bivector-graph":
-            biv = self.named(self.multivectors, "multivector", spec.get("bivector"), where)
-            return None if biv is None else graph_of_bivector(biv)
-        if kind == "two-form-pair":
-            form = self.named(self.forms, "form", spec.get("form"), where)
-            mu = self.named(self.forms, "form", spec.get("mu"), where)
-            if form is None or mu is None:
-                return None
-            return construct_two_form_pair(form, mu)
-        if kind == "conformal":
-            inner = self.named(self.structures, "structure", spec.get("of"), where)
-            if inner is None:
-                return None
-            factor = self._conformal(inner.chart, spec.get("factor"), f"{where}, factor")
-            return None if factor is None else conformal_change(inner, factor)
-        if kind == "induced":
-            inner = self.named(self.structures, "structure", spec.get("of"), where)
-            if inner is None:
-                return None
-            return induced_dirac_on_MxR(inner, time=spec.get("time", "t"))
-        if kind == "frame":
-            return self._build_frame(spec, where)
-        self.fail(f"{where}: unknown structure kind '{kind}'")
-        return None
-
-    def _build_frame(self, spec, where) -> FrameSubbundle | None:
-        chart = self.chart(spec.get("chart"), where)
-        if chart is None:
-            return None
-        ambient_name = spec.get("ambient", "e1")
-        if ambient_name not in ("tm", "e1"):
-            self.fail(f"{where}: ambient must be 'tm' or 'e1'")
-            return None
-        ambient = Ambient.TM_TSTAR if ambient_name == "tm" else Ambient.E1
-        gens = []
-        raw_gens = spec.get("generators")
-        if not isinstance(raw_gens, list) or not raw_gens:
-            self.fail(f"{where}: needs a nonempty generator list")
-            return None
-        for i, g in enumerate(raw_gens):
-            gw = f"{where}, generator {i}"
-            if not isinstance(g, Mapping):
-                self.fail(f"{gw}: must be a mapping")
-                return None
-            comp_table = {}
-            for cname, text in (g.get("X") or {}).items():
-                e = self.expr_on(chart, text, f"{gw}, X component {cname}")
-                if e is None:
-                    return None
-                comp_table[cname] = e
-            try:
-                X = VectorField.from_dict(chart, comp_table)
-            except ChartError as exc:
-                self.fail(f"{gw}: {exc}")
-                return None
-            xi_table = self._table(chart, 1, g.get("xi") or {}, gw)
-            if xi_table is None:
-                return None
-            xi = DifferentialForm(chart, 1, xi_table)
-            if ambient is Ambient.TM_TSTAR:
-                gens.append(SectionTM(X, xi))
-            else:
-                f = self.expr_on(chart, g.get("f", "0"), f"{gw}, f")
-                hslot = self.expr_on(chart, g.get("g", "0"), f"{gw}, g")
-                if f is None or hslot is None:
-                    return None
-                gens.append(SectionE1(X, f, xi, hslot))
-        rank = spec.get("rank", len(gens))
-        try:
-            return FrameSubbundle(ambient, chart, tuple(gens), rank)
-        except ChartError as exc:
-            self.fail(f"{where}: {exc}")
-            return None
+                continue
+            yield name, built
 
     def build_groupoids(self, policy: SamplingPolicy) -> None:
-        for name, spec in self.section("groupoids").items():
-            where = f"groupoid '{name}'"
-            if not isinstance(spec, Mapping):
-                self.fail(f"{where}: must be a mapping")
-                continue
-            kind = spec.get("kind")
-            gm: GroupoidModel | None = None
-            if kind == "pair":
-                base = self.chart(spec.get("base"), where)
-                if base is not None:
-                    gm = pair_groupoid(base)
-            elif kind == "pair-line":
-                base = self.chart(spec.get("base"), where)
-                if base is not None:
-                    gm = pair_groupoid_with_line(base, time=spec.get("time", "t"))
-            elif kind == "action":
-                inner = self.named(self.groupoids, "groupoid", spec.get("of"), where)
-                if inner is not None:
-                    sigma = self.expr_on(inner.total, spec.get("sigma"), f"{where}, sigma")
-                    if sigma is not None:
-                        try:
-                            gm = build_action_groupoid(
-                                inner,
-                                sigma,
-                                policy,
-                                time=spec.get("time", "t"),
-                                fiber=spec.get("fiber", "u"),
-                            )
-                        except (GroupoidModelError, ChartError) as exc:
-                            self.fail(f"{where}: {exc}")
-            elif kind == "explicit":
-                gm = self._build_explicit_groupoid(spec, where)
-            else:
-                self.fail(f"{where}: unknown groupoid kind '{kind}'")
-            if gm is not None:
-                self.groupoids[name] = gm
-                for label, chart in (
-                    ("total", gm.total),
-                    ("base", gm.base),
-                    ("pairs", gm.pair_chart),
-                ):
-                    self.charts.setdefault(f"{name}.{label}", chart)
+        for name, gm in self.build_kinds("groupoids", "groupoid", GROUPOIDS, policy):
+            self.groupoids[name] = gm
+            for label, chart in (("total", gm.total), ("base", gm.base), ("pairs", gm.pair_chart)):
+                self.charts.setdefault(f"{name}.{label}", chart)
 
-    def _build_explicit_groupoid(self, spec, where) -> GroupoidModel | None:
-        total = self.chart(spec.get("total"), where)
-        base = self.chart(spec.get("base"), where)
-        pairs = self.chart(spec.get("pairs"), where)
-        if total is None or base is None or pairs is None:
-            return None
-
-        def build_map(key: str, src: Chart, dst: Chart) -> SmoothMap | None:
-            comps = spec.get(key)
-            if not isinstance(comps, list) or len(comps) != dst.dim:
-                self.fail(f"{where}: '{key}' needs {dst.dim} component expressions")
-                return None
-            exprs = [self.expr_on(src, c, f"{where}, {key}[{i}]") for i, c in enumerate(comps)]
-            if any(e is None for e in exprs):
-                return None
-            return SmoothMap(src, dst, tuple(exprs))
-
-        source = build_map("source", total, base)
-        target = build_map("target", total, base)
-        unit = build_map("unit", base, total)
-        inversion = build_map("inversion", total, total)
-        left = build_map("pair_left", pairs, total)
-        right = build_map("pair_right", pairs, total)
-        mult = build_map("multiplication", pairs, total)
-        maps = (source, target, unit, inversion, left, right, mult)
-        if any(m is None for m in maps):
-            return None
-        try:
-            return GroupoidModel(total, base, source, target, unit, inversion, pairs, left, right, mult)
-        except GroupoidModelError as exc:
-            self.fail(f"{where}: {exc}")
-            return None
+    def build_structures(self) -> None:
+        for name, L in self.build_kinds("structures", "structure", STRUCTURES):
+            self.structures[name] = L
 
     def build_precontact(self) -> None:
-        for name, spec in self.section("precontact").items():
-            where = f"precontact '{name}'"
-            if not isinstance(spec, Mapping):
-                self.fail(f"{where}: must be a mapping")
-                continue
+        for name, spec, where in self.mappings("precontact", "precontact"):
             gm_name = spec.get("groupoid")
-            gm = self.named(self.groupoids, "groupoid", gm_name, where)
+            gm = self.lookup("groupoids", gm_name, where)
             if gm is None:
                 continue
             if "theta" in spec:
-                theta = self.named(self.forms, "form", spec.get("theta"), where)
+                theta = self.lookup("forms", spec.get("theta"), where)
                 if theta is None:
                     continue
                 try:
@@ -547,10 +766,10 @@ class _Builder:
                     self.fail(f"{where}: {exc}")
                     continue
             else:
-                eta = self.named(self.forms, "form", spec.get("eta"), where)
+                eta = self.lookup("forms", spec.get("eta"), where)
                 if eta is None:
                     continue
-                sigma = self.expr_on(gm.total, spec.get("sigma", "0"), f"{where}, sigma")
+                sigma = self.expr_on(gm.total.coords, spec.get("sigma", "0"), f"{where}, sigma")
                 if sigma is None:
                     continue
                 if eta.chart != gm.total:
@@ -558,58 +777,6 @@ class _Builder:
                     continue
                 pd = PrecontactData(eta, sigma)
             self.precontact[name] = (gm_name, pd)
-
-    # the name-bearing arguments each check kind must resolve:
-    # (argument key, registry attribute, required)
-    _CHECK_REFS: dict[str, tuple[tuple[str, str, bool], ...]] = {
-        "expr-zero": (("chart", "charts", True),),
-        "maximal-isotropy": (("structure", "structures", True),),
-        "involutivity": (("structure", "structures", True),),
-        "structure-equal": (("a", "structures", True), ("b", "structures", True)),
-        "forward-map": (
-            ("map", "maps", True),
-            ("source", "structures", True),
-            ("target", "structures", True),
-        ),
-        "conformal-roundtrip": (("structure", "structures", True),),
-        "cocycle": (("structure", "structures", True),),
-        "cocycle-values": (("structure", "structures", True),),
-        "closed-2-cochain": (("structure", "structures", True),),
-        "central-extension-agrees": (("structure", "structures", True),),
-        "action-iso": (("structure", "structures", True),),
-        "groupoid-axioms": (("groupoid", "groupoids", True),),
-        "multiplicative-function": (("groupoid", "groupoids", True),),
-        "precontact": (("data", "precontact", True),),
-        "presymplectic": (
-            ("groupoid", "groupoids", True),
-            ("omega", "forms", True),
-            ("field", "fields", False),
-        ),
-        "eta-omega-roundtrip": (("data", "precontact", True),),
-        "omega-descends": (("omega", "forms", True),),
-        "extract-structure": (("data", "precontact", True), ("expected", "structures", False)),
-        "equivalence-commutes": (
-            ("data", "precontact", True),
-            ("expected", "structures", True),
-        ),
-        "contact-nondegenerate": (("form", "forms", True),),
-    }
-
-    def _validate_check_args(self, kind: str, args: Mapping, where: str) -> bool:
-        ok = True
-        for key, registry_name, required in self._CHECK_REFS.get(kind, ()):
-            value = args.get(key)
-            if value is None:
-                if required:
-                    self.fail(f"{where}: missing required argument '{key}'")
-                    ok = False
-                continue
-            registry = getattr(self, registry_name)
-            if value not in registry:
-                label = registry_name.rstrip("s") if registry_name != "precontact" else "precontact data"
-                self.fail(f"{where}: unknown {label} '{value}'")
-                ok = False
-        return ok
 
     def build_checks(self) -> None:
         raw = self.doc.get("checks")
@@ -623,7 +790,7 @@ class _Builder:
                 self.fail(f"{where}: must be a mapping")
                 continue
             kind = spec.get("check")
-            if kind not in CHECK_KINDS:
+            if kind not in CHECKS:
                 self.fail(f"{where}: unknown check kind '{kind}'")
                 continue
             name = spec.get("name", f"{kind}#{i + 1}")
@@ -635,10 +802,34 @@ class _Builder:
             if expect not in ("pass", "fail", "error"):
                 self.fail(f"{where}: expect must be pass, fail, or error")
                 continue
-            args = {k: v for k, v in spec.items() if k not in ("check", "name", "expect")}
-            if not self._validate_check_args(kind, args, f"{where} ({name})"):
-                continue
-            self.checks.append(CheckSpec(kind, name, expect, args))
+            args = self.resolve(CHECKS[kind].args, spec, f"{where} ({name})", ("check", "name", "expect"))
+            if args is not None:
+                self.checks.append(CheckSpec(kind, name, expect, args))
+
+    def policy(self) -> SamplingPolicy:
+        def real(v) -> bool:
+            return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+        seed = self.doc.get("seed", 0)
+        samples = self.doc.get("samples", 50)
+        tol = self.doc.get("tol", 1e-9)
+        box = self.doc.get("box", [-2.0, 2.0])
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            self.fail("seed must be an integer")
+            seed = 0
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+            self.fail("samples must be a positive integer")
+            samples = 50
+        if not real(tol) or tol < 0:
+            self.fail("tol must be a non-negative number")
+            tol = 1e-9
+        if not (isinstance(box, list) and len(box) == 2 and all(map(real, box)) and box[0] < box[1]):
+            self.fail("box must be [lo, hi], two numbers with lo < hi")
+            box = [-2.0, 2.0]
+        return SamplingPolicy(
+            seed=seed, count=samples, box=(float(box[0]), float(box[1])),
+            tol_abs=float(tol), tol_rel=float(tol),
+        )
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -653,33 +844,16 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(doc, Mapping):
         raise ScenarioError(["the scenario document must be a mapping"])
 
-    builder = _Builder(doc, digest, path.name)
-    seed = doc.get("seed", 0)
-    samples = doc.get("samples", 50)
-    tol = doc.get("tol", 1e-9)
-    box = doc.get("box", [-2.0, 2.0])
-    if not isinstance(seed, int):
-        builder.fail("seed must be an integer")
-        seed = 0
-    if not isinstance(samples, int) or samples < 1:
-        builder.fail("samples must be a positive integer")
-        samples = 50
-    if not isinstance(box, list) or len(box) != 2:
-        builder.fail("box must be [lo, hi]")
-        box = [-2.0, 2.0]
-    policy = SamplingPolicy(
-        seed=seed, count=samples, box=(float(box[0]), float(box[1])),
-        tol_abs=float(tol), tol_rel=float(tol),
-    )
-
+    builder = _Builder(doc)
+    policy = builder.policy()
     # groupoids come right after charts so that their derived charts
     # (<name>.total, <name>.base, <name>.pairs) are referencable everywhere
     builder.build_charts()
     builder.build_groupoids(policy)
     builder.build_expressions()
     builder.build_fields()
-    builder.build_forms()
-    builder.build_multivectors()
+    builder.build_tensors("forms", "form", DifferentialForm, 1)
+    builder.build_tensors("multivectors", "multivector", Multivector, 2)
     builder.build_maps()
     builder.build_structures()
     builder.build_precontact()
@@ -708,296 +882,6 @@ def load_scenario(path: str | Path) -> Scenario:
 # --------------------------------------------------------------------------
 # running
 # --------------------------------------------------------------------------
-
-
-class _CheckContext:
-    def __init__(self, scenario: Scenario, policy: SamplingPolicy):
-        self.s = scenario
-        self.policy = policy
-
-    def structure(self, args, key="structure") -> FrameSubbundle:
-        name = args.get(key)
-        if name not in self.s.structures:
-            raise ScenarioError([f"unknown structure '{name}'"])
-        return self.s.structures[name]
-
-    def groupoid(self, args, key="groupoid") -> GroupoidModel:
-        name = args.get(key)
-        if name not in self.s.groupoids:
-            raise ScenarioError([f"unknown groupoid '{name}'"])
-        return self.s.groupoids[name]
-
-    def form(self, args, key="form") -> DifferentialForm:
-        name = args.get(key)
-        if name not in self.s.forms:
-            raise ScenarioError([f"unknown form '{name}'"])
-        return self.s.forms[name]
-
-    def precontact(self, args, key="data") -> tuple[GroupoidModel, PrecontactData]:
-        name = args.get(key)
-        if name not in self.s.precontact:
-            raise ScenarioError([f"unknown precontact data '{name}'"])
-        gm_name, pd = self.s.precontact[name]
-        return self.s.groupoids[gm_name], pd
-
-    def expr_on(self, chart: Chart, text, what: str) -> Expr:
-        try:
-            return parse(str(text), chart.coords)
-        except ExprError as exc:
-            raise ScenarioError([f"{what}: {exc}"]) from exc
-
-
-def _run_check(ctx: _CheckContext, spec: CheckSpec) -> CheckResult:
-    s, policy, args = ctx.s, ctx.policy, spec.args
-    kind, name = spec.kind, spec.name
-
-    if kind == "expr-zero":
-        chart = s.charts.get(args.get("chart"))
-        if chart is None:
-            return error_result(name, f"unknown chart '{args.get('chart')}'")
-        e = ctx.expr_on(chart, args.get("expr", "0"), name)
-        rep = check_zero_all([e], policy, coords=chart.coords, label=name)
-        mode = "symbolic" if rep.verdict.value == "ZERO" else "sampled"
-        witness = None
-        if not rep.is_zero:
-            witness = {"point": rep.witness_point, "value": rep.witness_value}
-        return passfail(name, rep.is_zero, mode=mode, witness=witness)
-
-    if kind == "maximal-isotropy":
-        return check_maximal_isotropy(ctx.structure(args), policy, name=name)
-
-    if kind == "involutivity":
-        return check_involutivity(ctx.structure(args), policy, name=name)
-
-    if kind == "structure-equal":
-        return check_structures_equal(
-            ctx.structure(args, "a"), ctx.structure(args, "b"), policy, name=name
-        )
-
-    if kind == "forward-map":
-        mp = s.maps.get(args.get("map"))
-        if mp is None:
-            return error_result(name, f"unknown map '{args.get('map')}'")
-        return check_forward_map(
-            mp,
-            ctx.structure(args, "source"),
-            ctx.structure(args, "target"),
-            policy,
-            anti=bool(args.get("anti", False)),
-            name=name,
-        )
-
-    if kind == "conformal-roundtrip":
-        L = ctx.structure(args)
-        factor = ConformalFactor(
-            ctx.expr_on(L.chart, args.get("factor", "1"), name), L.chart
-        )
-        back = conformal_change(conformal_change(L, factor), factor.inverse())
-        return check_structures_equal(back, L, policy, name=name)
-
-    if kind == "cocycle":
-        L = ctx.structure(args)
-        A = AlgebroidOnL(L)
-        if "values" in args:
-            phi = Cocycle1(
-                tuple(ctx.expr_on(L.chart, v, name) for v in args["values"])
-            )
-        else:
-            phi = extract_cocycle(L)
-        return check_cocycle(A, phi, policy, name=name)
-
-    if kind == "cocycle-values":
-        L = ctx.structure(args)
-        phi = extract_cocycle(L)
-        declared = [ctx.expr_on(L.chart, v, name) for v in args.get("values", [])]
-        if len(declared) != len(phi.values):
-            return error_result(
-                name, f"expected {len(phi.values)} values, got {len(declared)}"
-            )
-        ok = all(
-            is_structurally_zero(a - b) for a, b in zip(phi.values, declared)
-        )
-        details = () if ok else ("extracted cocycle differs from the declared values",)
-        return passfail(name, ok, mode="symbolic", details=details)
-
-    if kind == "closed-2-cochain":
-        L = ctx.structure(args)
-        A = AlgebroidOnL(L)
-        omega_spec = args.get("omega", "skew-pairing")
-        if omega_spec == "skew-pairing":
-            if L.ambient is not Ambient.TM_TSTAR:
-                return error_result(name, "skew-pairing cochain needs a TM+T*M frame")
-            Om = FrameCochain2.from_function(L, omega_skew_half)
-        elif isinstance(omega_spec, Mapping):
-            table = {}
-            for key, text in omega_spec.items():
-                i, j = (int(p) for p in str(key).replace(" ", "").split(","))
-                table[(i, j)] = ctx.expr_on(L.chart, text, name)
-            Om = FrameCochain2.from_table(len(L.generators), table)
-        else:
-            return error_result(name, "omega must be 'skew-pairing' or an index table")
-        return algebroid_differential_2(A, Om, policy, name=name)
-
-    if kind == "central-extension-agrees":
-        L0 = ctx.structure(args)
-        if L0.ambient is not Ambient.TM_TSTAR:
-            return error_result(name, "central extension needs a TM+T*M frame")
-        A0 = AlgebroidOnL(L0)
-        f1 = ctx.expr_on(L0.chart, args.get("f1", "0"), name)
-        f2 = ctx.expr_on(L0.chart, args.get("f2", "0"), name)
-        ok = True
-        details: list[str] = []
-        witness = None
-        mode = "symbolic"
-        for i in range(len(L0.generators)):
-            for j in range(len(L0.generators)):
-                if i == j:
-                    continue
-                gi, gj = L0.generators[i], L0.generators[j]
-                li = SectionE1(gi.X, ZERO, gi.xi, f1)
-                lj = SectionE1(gj.X, ZERO, gj.xi, f2)
-                eb = extended_courant_bracket(li, lj)
-                ce_sec, ce_scalar = central_extension_bracket(
-                    A0, omega_skew_half, (gi, f1), (gj, f2)
-                )
-                diffs = (
-                    [a - b for a, b in zip(eb.X.components, ce_sec.X.components)]
-                    + [eb.f]
-                    + list((eb.xi - ce_sec.xi).coefficients())
-                    + [eb.g - ce_scalar]
-                )
-                rep = check_zero_all(
-                    diffs, policy, coords=L0.chart.coords, label=f"{name}:{i},{j}"
-                )
-                if rep.verdict.value != "ZERO":
-                    mode = "sampled"
-                if not rep.is_zero:
-                    ok = False
-                    details.append(f"brackets disagree on generators ({i}, {j})")
-                    witness = witness or {
-                        "pair": [i, j],
-                        "point": rep.witness_point,
-                        "value": rep.witness_value,
-                    }
-        return passfail(name, ok, mode=mode, details=tuple(details), witness=witness)
-
-    if kind == "action-iso":
-        return check_action_iso(
-            ctx.structure(args),
-            policy,
-            time=args.get("time", "t"),
-            drop_scale=bool(args.get("drop-scale", False)),
-            name=name,
-        )
-
-    if kind == "groupoid-axioms":
-        return check_groupoid(ctx.groupoid(args), policy, name=name)
-
-    if kind == "multiplicative-function":
-        gm = ctx.groupoid(args)
-        sigma = ctx.expr_on(gm.total, args.get("function", "0"), name)
-        return check_multiplicative_function(gm, sigma, policy, name=name)
-
-    if kind == "precontact":
-        gm, pd = ctx.precontact(args)
-        return check_precontact(
-            gm,
-            pd,
-            policy,
-            kernel_at_all_samples=bool(args.get("kernel-at-all-samples", False)),
-            name=name,
-        )
-
-    if kind == "presymplectic":
-        gm = ctx.groupoid(args)
-        omega = ctx.form(args, "omega")
-        Z = None
-        if args.get("field"):
-            Z = s.fields.get(args["field"])
-            if Z is None:
-                return error_result(name, f"unknown field '{args['field']}'")
-        return check_presymplectic(gm, PresymplecticData(omega, Z), policy, name=name)
-
-    if kind == "eta-omega-roundtrip":
-        gm, pd = ctx.precontact(args)
-        fiber = args.get("fiber", "u")
-        time = args.get("time", "t")
-        action = build_action_groupoid(gm, pd.sigma, policy, time=time, fiber=fiber)
-        ps = eta_to_omega(pd, fiber=fiber)
-        sym = check_presymplectic(action, ps, policy, name=f"{name}:presymplectic")
-        if not sym.passed:
-            return CheckResult(
-                name, sym.verdict, sym.mode, sym.residual_max, sym.residual_mean,
-                ("presymplectic side fails",) + sym.details, sym.witness,
-            )
-        back = omega_to_eta(ps, pd.sigma, policy, fiber=fiber)
-        diff = back.eta - pd.eta
-        rep = check_zero_all(
-            list(diff.coefficients()) + [back.sigma - pd.sigma],
-            policy,
-            coords=gm.total.coords,
-            label=f"{name}:roundtrip",
-        )
-        witness = None
-        if not rep.is_zero:
-            witness = {"point": rep.witness_point, "value": rep.witness_value}
-        details = () if rep.is_zero else ("round-trip does not return the original data",)
-        return passfail(name, rep.is_zero, mode="sampled", details=details, witness=witness)
-
-    if kind == "omega-descends":
-        omega = ctx.form(args, "omega")
-        fiber = args.get("fiber", "u")
-        sigma_text = args.get("sigma", "0")
-        ps = PresymplecticData(omega)
-        base_coords = tuple(c for c in omega.chart.coords if c != fiber)
-        sigma = ctx.expr_on(Chart("tmp", base_coords), sigma_text, name)
-        pd = omega_to_eta(ps, sigma, policy, fiber=fiber)  # raises on non-homogeneous
-        return passfail(name, True, mode="sampled", details=(f"descended to '{pd.eta.chart.name}'",))
-
-    if kind == "extract-structure":
-        gm, pd = ctx.precontact(args)
-        expected = None
-        if args.get("expected"):
-            expected = ctx.structure(args, "expected")
-        out = extract_LM(
-            gm,
-            pd,
-            policy,
-            expected=expected,
-            fiber_samples=int(args.get("fiber-samples", 5)),
-            name=name,
-        )
-        return out.result
-
-    if kind == "equivalence-commutes":
-        gm, pd = ctx.precontact(args)
-        factor = ConformalFactor(
-            ctx.expr_on(gm.base, args.get("factor", "1"), name), gm.base
-        )
-        pd2 = equivalence_transform(pd, factor, gm)
-        pre = check_precontact(gm, pd2, policy, name=f"{name}:precontact")
-        if not pre.passed:
-            return CheckResult(
-                name, pre.verdict, pre.mode, pre.residual_max, pre.residual_mean,
-                ("transformed data fails the precontact check",) + pre.details, pre.witness,
-            )
-        base = extract_LM(gm, pd, policy, name=f"{name}:base")
-        if not base.result.passed:
-            return base.result
-        expected = None
-        if args.get("expected"):
-            expected = ctx.structure(args, "expected")
-            expected = conformal_change(expected, factor)
-            out = extract_LM(gm, pd2, policy, expected=expected, name=name)
-            return out.result
-        # no symbolic expectation: compare numeric fibers after a conformal
-        # change applied pointwise is unavailable, so require the expected frame
-        return error_result(name, "equivalence-commutes needs an 'expected' structure")
-
-    if kind == "contact-nondegenerate":
-        return check_contact_form(ctx.form(args), policy, name=name)
-
-    return error_result(name, f"unhandled check kind '{kind}'")
 
 
 @dataclass(frozen=True)
@@ -1084,15 +968,14 @@ def run_scenario(
             tol_rel=policy.tol_rel if tol is None else tol,
             resample_factor=policy.resample_factor,
         )
-    ctx = _CheckContext(scenario, policy)
     outcomes = []
     for spec in scenario.checks:
         if only and spec.name not in only:
             continue
         start = _time.perf_counter()
         try:
-            result = _run_check(ctx, spec)
-        except (ScenarioError, ChartError, GroupoidModelError, HomogeneityError, ExprError) as exc:
+            result = CHECKS[spec.kind].fn(policy, spec.name, **spec.args)
+        except (ChartError, GroupoidModelError, HomogeneityError, ExprError) as exc:
             result = error_result(spec.name, str(exc))
         wall = (_time.perf_counter() - start) * 1e3
         # the library may return a result named differently; pin the scenario name

@@ -401,11 +401,6 @@ def check_involutivity(
     return passfail(name, ok, mode="sampled", stats=stats, details=tuple(details), witness=witness)
 
 
-def check_structure(L: FrameSubbundle, policy: SamplingPolicy) -> tuple[CheckResult, CheckResult]:
-    """Convenience: both axioms."""
-    return check_maximal_isotropy(L, policy), check_involutivity(L, policy)
-
-
 def check_structures_equal(
     A: FrameSubbundle,
     B: FrameSubbundle,

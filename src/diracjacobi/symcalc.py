@@ -165,10 +165,6 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot interpret {value!r} as an expression")
 
 
-def const(value) -> Constant:
-    return Constant(Fraction(value))
-
-
 def coord(name: str) -> Coordinate:
     return Coordinate(name)
 
@@ -773,10 +769,18 @@ def _subst(e: Expr, a: Mapping[str, Expr]) -> Expr:
 # --------------------------------------------------------------------------
 
 
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvaluationError("exp overflows a float") from None
+
+
 def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
     """Evaluate at a point.  Exact Fraction result on rational data, float otherwise.
 
-    Raises EvaluationError on division by zero or ln of a non-positive argument.
+    Raises EvaluationError on division by zero, ln of a non-positive argument
+    or an exp that overflows.
     """
     if isinstance(e, Constant):
         return e.value
@@ -809,7 +813,7 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
     if isinstance(e, Neg):
         return -evaluate(e.arg, point)
     if isinstance(e, Exp):
-        return math.exp(float(evaluate(e.arg, point)))
+        return _exp(float(evaluate(e.arg, point)))
     if isinstance(e, Ln):
         v = evaluate(e.arg, point)
         if v <= 0:
@@ -869,7 +873,7 @@ def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, flo
         return -v, s
     if isinstance(e, Exp):
         av, asc = evaluate_with_scale(e.arg, point)
-        v = math.exp(min(av, 700.0))
+        v = _exp(av)
         return v, v * (1.0 + asc)
     if isinstance(e, Ln):
         av, asc = evaluate_with_scale(e.arg, point)
@@ -954,8 +958,9 @@ def check_zero_all(
 
     Structural zeros short-circuit; otherwise all expressions are evaluated
     at a shared set of sampled points (exact rational points when every
-    expression is rational).  Singular points are discarded and resampled up
-    to resample_factor * count attempts.
+    expression is rational).  Singular points, where evaluation fails or a
+    float value or scale is not finite, are discarded and resampled up to
+    resample_factor * count attempts.
     """
     remaining = [n for n in (normalize(e) for e in exprs) if not (isinstance(n, Constant) and n.value == 0)]
     if not remaining:
@@ -1004,6 +1009,8 @@ def check_zero_all(
                         )
                 else:
                     fv, scale = evaluate_with_scale(n, {c: float(x) for c, x in point.items()})
+                    if not (math.isfinite(fv) and math.isfinite(scale)):
+                        raise EvaluationError("non-finite sample")
                     max_abs = max(max_abs, abs(fv))
                     if abs(fv) > policy.tol_abs + policy.tol_rel * scale:
                         return ZeroReport(

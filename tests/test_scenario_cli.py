@@ -1,13 +1,23 @@
 """Scenario loading/validation, the runner, the CLI, and report determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from diracjacobi.cli import fixture_names, main, resolve_scenario_path
-from diracjacobi.scenario import ScenarioError, load_scenario, run_scenario
+from diracjacobi.report import CheckVerdict
+from diracjacobi.scenario import (
+    CHECKS,
+    GROUPOIDS,
+    STRUCTURES,
+    ScenarioError,
+    load_scenario,
+    run_scenario,
+)
 
 GOOD = """
 name: tiny
@@ -107,6 +117,94 @@ checks:
         assert "unknown structure 'missing'" in text
         assert "unknown map 'nomap'" in text
         assert "missing required argument 'data'" in text
+
+
+MALFORMED = """
+name: malformed
+charts: {M: [x, y]}
+forms:
+  omega: {chart: M, degree: 2, coeffs: {"x,y": "1"}}
+  theta: {chart: M, degree: 1, coeffs: {y: "x"}}
+structures:
+  L0: {kind: two-form-graph, form: omega}
+  Ltheta: {kind: theta, form: theta}
+"""
+ONE_CHECK = "checks: [{check: involutivity, structure: L0}]\n"
+
+
+@pytest.mark.parametrize(
+    "extra, problem",
+    [
+        ("box: [a, 1]\n" + ONE_CHECK, "box must be [lo, hi]"),
+        ("tol: abc\n" + ONE_CHECK, "tol must be a non-negative number"),
+        ("box: [1, -1]\n" + ONE_CHECK, "box must be [lo, hi]"),
+        ('checks: [{check: closed-2-cochain, structure: L0, omega: {"a,b": "x"}}]\n',
+         "omega index 'a,b' must be i,j"),
+        ('checks: [{check: closed-2-cochain, structure: L0, omega: {"0,1,2": "x"}}]\n',
+         "omega index '0,1,2' must be i,j"),
+        ('checks: [{check: closed-2-cochain, structure: L0, omega: {"0,9": "x"}}]\n',
+         "omega index '0,9' must be i,j"),
+        ("checks: [{check: cocycle, structure: Ltheta, values: 5}]\n",
+         "'values' must be a list of expressions"),
+        ("checks: [{check: expr-zero, chart: M, expr: 'x +'}]\n", "(expr-zero#1), expr: "),
+        ("checks: [{check: action-iso, structure: Ltheta, drop-scale: maybe}]\n",
+         "'drop-scale' must be true or false"),
+        ("checks: [{check: involutivity, structure: L0, strucutre: L0}]\n",
+         "unknown argument 'strucutre'"),
+        ("multivectors: {P: {chart: M, degree: two}}\n" + ONE_CHECK,
+         "degree must be a non-negative integer"),
+    ],
+    ids=["box-not-numbers", "tol-not-a-number", "box-empty", "cochain-index-not-integers",
+         "cochain-index-three-slots", "cochain-index-out-of-range", "cocycle-values-not-a-list",
+         "expression-does-not-parse", "flag-not-boolean", "unknown-argument", "degree-not-integer"],
+)
+def test_malformed_values_exit_2_at_load(tmp_path, capsys, extra, problem):
+    p = tmp_path / "malformed.scn"
+    p.write_text(MALFORMED + extra)
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+
+
+def test_malformed_values_all_listed(tmp_path):
+    p = tmp_path / "malformed.scn"
+    p.write_text(MALFORMED + "box: [1, -1]\ntol: abc\n"
+                 "checks: [{check: cocycle, structure: Ltheta, values: 5}]\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(p)
+    assert len(err.value.problems) == 3
+
+
+class TestNonFiniteSamples:
+    def run_single(self, tmp_path, forms: str, check: str):
+        p = tmp_path / "overflow.scn"
+        p.write_text(f"name: overflow\ncharts: {{M: [x, y]}}\nforms: {forms}\n"
+                     f"structures: {{L: {{kind: theta, form: theta}}}}\nchecks: [{check}]\n")
+        (outcome,) = run_scenario(load_scenario(p)).outcomes
+        return outcome.result
+
+    def test_exp_overflow_in_a_frame_is_an_error_verdict(self, tmp_path):
+        result = self.run_single(
+            tmp_path, '{theta: {chart: M, degree: 1, coeffs: {y: "exp(1000*x)"}}}',
+            "{check: maximal-isotropy, structure: L}",
+        )
+        assert result.verdict is CheckVerdict.ERROR
+        assert "exp overflows" in result.details[0]
+
+    def test_overflowing_samples_do_not_pass(self, tmp_path):
+        result = self.run_single(
+            tmp_path, '{theta: {chart: M, degree: 1, coeffs: {y: "x"}}}',
+            '{check: expr-zero, chart: M, expr: "exp(1000*x + 3000) - exp(1000*x + 3001)"}',
+        )
+        assert result.verdict is not CheckVerdict.PASS
+
+
+def test_readme_lists_every_registered_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for label, registry in (("Structure kinds", STRUCTURES), ("Groupoid kinds", GROUPOIDS),
+                            ("Check kinds", CHECKS)):
+        listed = re.search(label + r":(.*?)\.\s", readme, re.S).group(1)
+        assert re.findall(r"`([^`]+)`", listed) == list(registry), label
 
 
 class TestRunner:

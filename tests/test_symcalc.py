@@ -123,6 +123,10 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(parse("x^-1", ("x",)), {"x": 0})
 
+    def test_exp_overflow_is_singular(self):
+        with pytest.raises(EvaluationError):
+            evaluate(parse("exp(1000*x)", ("x",)), {"x": 1})
+
     def test_ln_domain(self):
         with pytest.raises(EvaluationError):
             evaluate(parse("ln(x)", ("x",)), {"x": -1})
