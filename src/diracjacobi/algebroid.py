@@ -30,7 +30,7 @@ from .chart_tensor import (
 )
 from .courant import SectionE1, SectionTM, courant_bracket, extended_courant_bracket
 from .linalg import least_squares_coefficients
-from .report import CheckResult, ResidualStats, error_result, passfail
+from .report import CheckResult, Findings, error_result
 from .structures import (
     Ambient,
     FrameSubbundle,
@@ -211,15 +211,11 @@ def check_cocycle(
     if len(phi.values) != len(L.generators):
         return error_result(name, "cocycle has the wrong number of values")
     points = policy.float_points(L.chart.coords, f"{name}:points")
-    stats = ResidualStats()
-    ok = True
-    witness = None
-    details: list[str] = []
+    f = Findings(name)
     for i in range(len(L.generators)):
         for j in range(i + 1, len(L.generators)):
             value = A.bracket_pair(i, j)
             lhs = A.anchor_of(i).apply(phi.values[j]) - A.anchor_of(j).apply(phi.values[i])
-            pair_bad = False
             for p in points:
                 B = L.fiber_matrix_at(p)
                 coeffs, resid = least_squares_coefficients(B, value.at(p))
@@ -236,15 +232,13 @@ def check_cocycle(
                 lhs_val = float(evaluate(lhs, p))
                 delta = abs(lhs_val - phi_of_bracket)
                 scale = 1.0 + abs(lhs_val) + abs(phi_of_bracket)
-                stats.add(delta / scale)
+                f.residual(delta / scale)
                 if delta > COCYCLE_RTOL * scale:
-                    pair_bad = True
-                    if witness is None:
-                        witness = {"pair": [i, j], "point": p, "delta": delta}
-            if pair_bad:
-                ok = False
-                details.append(f"cocycle identity fails on generators ({i}, {j})")
-    return passfail(name, ok, mode="sampled", stats=stats, details=tuple(details), witness=witness)
+                    f.fail(
+                        f"cocycle identity fails on generators ({i}, {j})",
+                        {"pair": [i, j], "point": p, "delta": delta},
+                    )
+    return f.result(mode="sampled")
 
 
 @dataclass(frozen=True)
@@ -320,11 +314,7 @@ def algebroid_differential_2(
     if Omega.size != k:
         return error_result(name, "2-cochain size differs from the frame size")
     points = policy.float_points(L.chart.coords, f"{name}:points")
-    stats = ResidualStats()
-    ok = True
-    witness = None
-    details: list[str] = []
-
+    f = Findings(name)
     brackets: dict[tuple[int, int], Section] = {}
 
     def bracket_of(i: int, j: int) -> Section:
@@ -340,7 +330,6 @@ def algebroid_differential_2(
                     - A.anchor_of(j).apply(Omega.value(i, l))
                     + A.anchor_of(l).apply(Omega.value(i, j))
                 )
-                triple_bad = False
                 for p in points:
                     B = L.fiber_matrix_at(p)
                     total = float(evaluate(sym, p))
@@ -364,15 +353,13 @@ def algebroid_differential_2(
                         total += sign * term
                         scale += abs(term)
                     delta = abs(total)
-                    stats.add(delta / scale)
+                    f.residual(delta / scale)
                     if delta > COCYCLE_RTOL * scale:
-                        triple_bad = True
-                        if witness is None:
-                            witness = {"triple": [i, j, l], "point": p, "delta": delta}
-                if triple_bad:
-                    ok = False
-                    details.append(f"d Omega is nonzero on generators ({i}, {j}, {l})")
-    return passfail(name, ok, mode="sampled", stats=stats, details=tuple(details), witness=witness)
+                        f.fail(
+                            f"d Omega is nonzero on generators ({i}, {j}, {l})",
+                            {"triple": [i, j, l], "point": p, "delta": delta},
+                        )
+    return f.result(mode="sampled")
 
 
 # --------------------------------------------------------------------------
@@ -559,11 +546,7 @@ def check_action_iso(
     sections = [TimeSection.unit(L, chart, time, i) for i in range(k)]
     sections += [s.scale(tvar) for s in sections[:k]]
 
-    stats = ResidualStats()
-    ok = True
-    witness = None
-    details: list[str] = []
-    mode = "symbolic"
+    f = Findings(name)
     for i in range(len(sections)):
         for j in range(i + 1, len(sections)):
             a, b = sections[i], sections[j]
@@ -572,20 +555,10 @@ def check_action_iso(
             diff = lhs - rhs
             exprs = list(diff.X.components) + list(diff.xi.coefficients())
             rep = check_zero_all(exprs, policy, coords=chart.coords, label=f"{name}:{i},{j}")
-            stats.add(rep.max_abs)
-            if rep.verdict.value != "ZERO":
-                mode = "sampled"
-            if not rep.is_zero:
-                ok = False
-                details.append(f"bracket images differ for test sections ({i}, {j})")
-                if witness is None:
-                    witness = {
-                        "sections": [i, j],
-                        "point": rep.witness_point,
-                        "value": rep.witness_value,
-                    }
+            f.zero(rep, f"bracket images differ for test sections ({i}, {j})", sections=[i, j])
     # anchor consistency is structural: the vector slot of psi matches the
-    # twisted anchor by construction; assert it on the unit sections anyway
+    # twisted anchor by construction; assert it on the unit sections anyway,
+    # outside the residual statistics, which measure the bracket identity
     for i, s in enumerate(sections[:k]):
         va = action_algebroid_anchor(A, phi, s)
         vb = psi(s).X
@@ -596,6 +569,5 @@ def check_action_iso(
             label=f"{name}:anchor:{i}",
         )
         if not rep.is_zero:
-            ok = False
-            details.append(f"anchor image differs for generator {i}")
-    return passfail(name, ok, mode=mode, stats=stats, details=tuple(details), witness=witness)
+            f.fail(f"anchor image differs for generator {i}")
+    return f.result()

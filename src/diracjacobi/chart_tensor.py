@@ -22,7 +22,7 @@ import numpy as np
 
 from .symcalc import (
     Expr,
-    Neg,
+    FUNCTIONS,
     ZERO,
     ONE,
     as_expr,
@@ -34,9 +34,6 @@ from .symcalc import (
     normalize,
     substitute,
 )
-
-
-_RESERVED = {"exp", "ln", "sin", "cos"}
 
 
 class ChartError(ValueError):
@@ -55,7 +52,7 @@ class Chart:
             raise ChartError(f"chart '{self.name}' needs at least one coordinate")
         if len(set(self.coords)) != len(self.coords):
             raise ChartError(f"chart '{self.name}' has duplicate coordinates")
-        bad = _RESERVED.intersection(self.coords)
+        bad = FUNCTIONS.keys() & set(self.coords)
         if bad:
             raise ChartError(f"chart '{self.name}' uses reserved names {sorted(bad)}")
 
@@ -186,10 +183,6 @@ def _sorted_index(idx: Sequence[int]) -> tuple[tuple[int, ...] | None, int]:
     return tuple(idx), sign
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[int, ...] | None, int]:
-    return _sorted_index(left + right)
-
-
 class _AlternatingTable:
     """Shared machinery for DifferentialForm and Multivector."""
 
@@ -209,7 +202,7 @@ class _AlternatingTable:
                 raise ChartError(f"index {idx} does not match degree {degree}")
             if key and (key[0] < 0 or key[-1] >= chart.dim):
                 raise ChartError(f"index {idx} out of range for chart '{chart.name}'")
-            e = normalize(as_expr(e) if sign > 0 else Neg(as_expr(e)))
+            e = normalize(as_expr(e)) if sign > 0 else -as_expr(e)
             _check_expr_coords(chart, e, f"{self.kind} coefficient")
             if key in table:
                 e = table[key] + e
@@ -248,7 +241,7 @@ class _AlternatingTable:
             return ZERO
         for k, v in self.entries:
             if k == key:
-                return v if sign > 0 else normalize(Neg(v))
+                return v if sign > 0 else -v
         return ZERO
 
     @property
@@ -271,7 +264,7 @@ class _AlternatingTable:
             raise ChartError("degree mismatch")
         table = dict(self.entries)
         for k, v in other.entries:
-            v = v if flip > 0 else normalize(Neg(v))
+            v = v if flip > 0 else -v
             table[k] = table[k] + v if k in table else v
         return type(self)(self.chart, self.degree, table)
 
@@ -378,7 +371,7 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
             if is_structurally_zero(da):
                 continue
             key, sign = _sorted_index((j,) + idx)
-            term = da if sign > 0 else normalize(Neg(da))
+            term = da if sign > 0 else -da
             table[key] = table[key] + term if key in table else term
     return DifferentialForm(chart, omega.degree + 1, table)
 
@@ -393,12 +386,12 @@ def wedge(a, b):
     table: dict[tuple[int, ...], Expr] = {}
     for ia, va in a.entries:
         for ib, vb in b.entries:
-            key, sign = _merge_sign(ia, ib)
+            key, sign = _sorted_index(ia + ib)
             if key is None:
                 continue
             term = va * vb
             if sign < 0:
-                term = normalize(Neg(term))
+                term = -term
             table[key] = table[key] + term if key in table else term
     return type(a)(a.chart, a.degree + b.degree, table)
 
@@ -417,7 +410,7 @@ def interior_product(X: VectorField, omega: DifferentialForm) -> DifferentialFor
             key = idx[:pos] + idx[pos + 1 :]
             term = xi * a
             if pos % 2 == 1:
-                term = normalize(Neg(term))
+                term = -term
             table[key] = table[key] + term if key in table else term
     return DifferentialForm(omega.chart, omega.degree - 1, table)
 

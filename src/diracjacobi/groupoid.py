@@ -35,7 +35,7 @@ from .chart_tensor import (
     wedge,
 )
 from .linalg import DEFAULT_RTOL, null_space, orthonormal_columns, spans_equal
-from .report import CheckResult, ResidualStats, error_result, passfail
+from .report import CheckResult, Findings, error_result
 from .structures import ConformalFactor, FrameSubbundle
 from .symcalc import (
     Exp,
@@ -44,7 +44,6 @@ from .symcalc import (
     Quotient,
     SamplingPolicy,
     ZERO,
-    ZeroVerdict,
     as_expr,
     check_zero_all,
     coord,
@@ -219,10 +218,6 @@ def check_groupoid(
     gm: GroupoidModel, policy: SamplingPolicy, name: str = "groupoid-axioms"
 ) -> CheckResult:
     """Structural-map identities plus sampled unit/inversion/associativity laws."""
-    details: list[str] = []
-    stats = ResidualStats()
-    mode = "symbolic"
-
     # the parametrization must actually hit the composable locus
     locus = check_zero_all(
         _map_difference(gm.source.compose(gm.pair_left), gm.target.compose(gm.pair_right)),
@@ -258,18 +253,10 @@ def check_groupoid(
             gm.total,
         ),
     )
-    ok = True
-    witness = None
+    f = Findings(name)
     for law, diff, chart in symbolic_laws:
         rep = check_zero_all(diff, policy, coords=chart.coords, label=f"{name}:{law}")
-        stats.add(rep.max_abs)
-        if rep.verdict is not ZeroVerdict.ZERO:
-            mode = "sampled"
-        if not rep.is_zero:
-            ok = False
-            details.append(f"{law} fails")
-            if witness is None:
-                witness = {"law": law, "point": rep.witness_point, "value": rep.witness_value}
+        f.zero(rep, f"{law} fails", law=law)
 
     # pointwise laws that need the composable-pair parametrization inverted
     rng = policy.rng(f"{name}:solves")
@@ -277,35 +264,19 @@ def check_groupoid(
     g_points = policy.float_points(gm.total.coords, f"{name}:gpoints", n_pts)
     try:
         for g in g_points:
-            beta_g = gm.target.evaluate(g)
-            alpha_g = gm.source.evaluate(g)
-            lhs = _compose_points(gm, gm.unit.evaluate(beta_g), g, rng)
-            r = _close(lhs, g)
-            stats.add(r)
-            if r > LAW_RTOL:
-                ok = False
-                details.append("left unit law fails")
-                witness = witness or {"law": "left-unit", "point": g}
-            rhs = _compose_points(gm, g, gm.unit.evaluate(alpha_g), rng)
-            r = _close(rhs, g)
-            stats.add(r)
-            if r > LAW_RTOL:
-                ok = False
-                details.append("right unit law fails")
-                witness = witness or {"law": "right-unit", "point": g}
+            unit_t = gm.unit.evaluate(gm.target.evaluate(g))
+            unit_s = gm.unit.evaluate(gm.source.evaluate(g))
             inv_g = gm.inversion.evaluate(g)
-            r = _close(_compose_points(gm, g, inv_g, rng), gm.unit.evaluate(beta_g))
-            stats.add(r)
-            if r > LAW_RTOL:
-                ok = False
-                details.append("right inverse law fails")
-                witness = witness or {"law": "right-inverse", "point": g}
-            r = _close(_compose_points(gm, inv_g, g, rng), gm.unit.evaluate(alpha_g))
-            stats.add(r)
-            if r > LAW_RTOL:
-                ok = False
-                details.append("left inverse law fails")
-                witness = witness or {"law": "left-inverse", "point": g}
+            # (law, pair to compose, expected product); the compositions draw
+            # from rng in this order
+            for law, left, right in (
+                ("left unit", (unit_t, g), g),
+                ("right unit", (g, unit_s), g),
+                ("right inverse", (g, inv_g), unit_t),
+                ("left inverse", (inv_g, g), unit_s),
+            ):
+                r = _close(_compose_points(gm, *left, rng), right)
+                f.residual(r, LAW_RTOL, f"{law} law fails", {"law": law.replace(" ", "-"), "point": g})
 
         for w in policy.float_points(gm.pair_chart.coords, f"{name}:wpoints", n_pts):
             g = gm.pair_left.evaluate(w)
@@ -315,29 +286,15 @@ def check_groupoid(
             hk = _compose_points(gm, h, k, rng)
             left = _compose_points(gm, gh, k, rng)
             right = _compose_points(gm, g, hk, rng)
-            r = _close(left, right)
-            stats.add(r)
-            if r > LAW_RTOL:
-                ok = False
-                details.append("associativity fails")
-                witness = witness or {
-                    "law": "associativity",
-                    "g": g,
-                    "h": h,
-                    "k": k,
-                    "left": left,
-                    "right": right,
-                }
-        mode = "sampled"
+            f.residual(
+                _close(left, right),
+                LAW_RTOL,
+                "associativity fails",
+                {"law": "associativity", "g": g, "h": h, "k": k, "left": left, "right": right},
+            )
     except SolveError as exc:
         return error_result(name, f"could not invert the pair parametrization: {exc}")
-
-    # deduplicate law names in details
-    seen: list[str] = []
-    for d in details:
-        if d not in seen:
-            seen.append(d)
-    return passfail(name, ok, mode=mode, stats=stats, details=tuple(seen), witness=witness)
+    return f.result(mode="sampled")
 
 
 def check_multiplicative_function(
@@ -350,23 +307,14 @@ def check_multiplicative_function(
         - gm.pair_left.pull_expr(sigma)
         - gm.pair_right.pull_expr(sigma)
     )
-    rep = check_zero_all([diff], policy, coords=gm.pair_chart.coords, label=f"{name}:mult")
-    mode = "symbolic" if rep.verdict is ZeroVerdict.ZERO else "sampled"
-    stats = ResidualStats()
-    stats.add(rep.max_abs)
-    witness = None
-    if not rep.is_zero:
-        witness = {"point": rep.witness_point, "value": rep.witness_value}
-    return passfail(name, rep.is_zero, mode=mode, stats=stats, witness=witness)
+    f = Findings(name)
+    f.zero(check_zero_all([diff], policy, coords=gm.pair_chart.coords, label=f"{name}:mult"))
+    return f.result()
 
 
 # --------------------------------------------------------------------------
 # precontact / presymplectic verification
 # --------------------------------------------------------------------------
-
-
-def _kernel_dimension(rows: np.ndarray) -> int:
-    return null_space(rows, DEFAULT_RTOL).shape[1]
 
 
 def check_precontact(
@@ -391,16 +339,11 @@ def check_precontact(
     if pd.eta.chart != gm.total:
         return error_result(name, "eta does not live on the total chart")
 
-    details: list[str] = []
-    stats = ResidualStats()
-    ok = True
-    witness = None
-
+    f = Findings(name)
     mult = check_multiplicative_function(gm, pd.sigma, policy, name=f"{name}:sigma")
     if not mult.passed:
-        details.append("sigma is not multiplicative")
-        witness = mult.witness
-        return passfail(name, False, mode="sampled", stats=stats, details=tuple(details), witness=witness)
+        f.fail("sigma is not multiplicative", mult.witness)
+        return f.result(mode="sampled")
 
     # (a) m* eta = pr1* eta + pr1*(e^sigma) pr2* eta, coefficient-wise on the locus
     twisted = pullback(gm.pair_right, pd.eta).scale(
@@ -410,62 +353,42 @@ def check_precontact(
     rep = check_zero_all(
         diff.coefficients(), policy, coords=gm.pair_chart.coords, label=f"{name}:pullback"
     )
-    stats.add(rep.max_abs)
-    if not rep.is_zero:
-        ok = False
-        details.append("multiplicativity identity for eta fails")
-        witness = witness or {
-            "condition": "eta-multiplicative",
-            "point": rep.witness_point,
-            "value": rep.witness_value,
-        }
+    f.zero(rep, "multiplicativity identity for eta fails", condition="eta-multiplicative")
 
     # (b) Ker(d eta) & Ker(eta) & Ker(d source) & Ker(d target) = 0 at units
     deta = exterior_derivative(pd.eta)
-    for x in policy.float_points(gm.base.coords, f"{name}:units"):
-        gx = gm.unit.evaluate(x)
+
+    def kernel_at(g) -> np.ndarray:
         rows = np.vstack(
             [
-                deta.matrix_at(gx).T,
-                pd.eta.covector_at(gx)[None, :],
-                gm.source.jacobian_at(gx),
-                gm.target.jacobian_at(gx),
+                deta.matrix_at(g).T,
+                pd.eta.covector_at(g)[None, :],
+                gm.source.jacobian_at(g),
+                gm.target.jacobian_at(g),
             ]
         )
-        kdim = _kernel_dimension(rows)
-        if kdim != 0:
-            ok = False
-            details.append("kernel condition fails at a unit point")
-            if witness is None:
-                kvec = null_space(rows, DEFAULT_RTOL)[:, 0]
-                witness = {
+        return null_space(rows, DEFAULT_RTOL)
+
+    for x in policy.float_points(gm.base.coords, f"{name}:units"):
+        kernel = kernel_at(gm.unit.evaluate(x))
+        if kernel.shape[1]:
+            f.fail(
+                "kernel condition fails at a unit point",
+                {
                     "condition": "non-degeneracy",
                     "base_point": x,
-                    "kernel_dim": kdim,
-                    "kernel_vector": [float(v) for v in kvec],
-                }
+                    "kernel_dim": kernel.shape[1],
+                    "kernel_vector": [float(v) for v in kernel[:, 0]],
+                },
+            )
             break
 
     if kernel_at_all_samples:
-        bad = 0
-        for g in policy.float_points(gm.total.coords, f"{name}:allg"):
-            rows = np.vstack(
-                [
-                    deta.matrix_at(g).T,
-                    pd.eta.covector_at(g)[None, :],
-                    gm.source.jacobian_at(g),
-                    gm.target.jacobian_at(g),
-                ]
-            )
-            if _kernel_dimension(rows) != 0:
-                bad += 1
-        details.append(f"kernel condition off units: {bad} degenerate of {policy.count} sampled")
-
-    seen: list[str] = []
-    for d in details:
-        if d not in seen:
-            seen.append(d)
-    return passfail(name, ok, mode="sampled", stats=stats, details=tuple(seen), witness=witness)
+        bad = sum(
+            1 for g in policy.float_points(gm.total.coords, f"{name}:allg") if kernel_at(g).shape[1]
+        )
+        f.note(f"kernel condition off units: {bad} degenerate of {policy.count} sampled")
+    return f.result(mode="sampled")
 
 
 def check_presymplectic(
@@ -484,26 +407,14 @@ def check_presymplectic(
     if pd.omega.chart != gm.total:
         return error_result(name, "omega does not live on the total chart")
 
-    details: list[str] = []
-    stats = ResidualStats()
-    ok = True
-    witness = None
-
+    f = Findings(name)
     closed = check_zero_all(
         exterior_derivative(pd.omega).coefficients(),
         policy,
         coords=gm.total.coords,
         label=f"{name}:closed",
     )
-    stats.add(closed.max_abs)
-    if not closed.is_zero:
-        ok = False
-        details.append("omega is not closed")
-        witness = witness or {
-            "condition": "closed",
-            "point": closed.witness_point,
-            "value": closed.witness_value,
-        }
+    f.zero(closed, "omega is not closed", condition="closed")
 
     diff = (
         pullback(gm.multiplication, pd.omega)
@@ -513,15 +424,7 @@ def check_presymplectic(
     mult = check_zero_all(
         diff.coefficients(), policy, coords=gm.pair_chart.coords, label=f"{name}:mult"
     )
-    stats.add(mult.max_abs)
-    if not mult.is_zero:
-        ok = False
-        details.append("omega is not multiplicative")
-        witness = witness or {
-            "condition": "multiplicative",
-            "point": mult.witness_point,
-            "value": mult.witness_value,
-        }
+    f.zero(mult, "omega is not multiplicative", condition="multiplicative")
 
     for x in policy.float_points(gm.base.coords, f"{name}:units"):
         gx = gm.unit.evaluate(x)
@@ -532,12 +435,12 @@ def check_presymplectic(
                 gm.target.jacobian_at(gx),
             ]
         )
-        kdim = _kernel_dimension(rows)
+        kdim = null_space(rows, DEFAULT_RTOL).shape[1]
         if kdim != 0:
-            ok = False
-            details.append("kernel condition fails at a unit point")
-            if witness is None:
-                witness = {"condition": "non-degeneracy", "base_point": x, "kernel_dim": kdim}
+            f.fail(
+                "kernel condition fails at a unit point",
+                {"condition": "non-degeneracy", "base_point": x, "kernel_dim": kdim},
+            )
             break
 
     if pd.homogeneity_field is not None:
@@ -547,17 +450,8 @@ def check_presymplectic(
             coords=gm.total.coords,
             label=f"{name}:homogeneous",
         )
-        stats.add(hom.max_abs)
-        if not hom.is_zero:
-            ok = False
-            details.append("omega is not homogeneous for the supplied field")
-            witness = witness or {
-                "condition": "homogeneous",
-                "point": hom.witness_point,
-                "value": hom.witness_value,
-            }
-
-    return passfail(name, ok, mode="sampled", stats=stats, details=tuple(details), witness=witness)
+        f.zero(hom, "omega is not homogeneous for the supplied field", condition="homogeneous")
+    return f.result(mode="sampled")
 
 
 # --------------------------------------------------------------------------
@@ -698,10 +592,7 @@ def extract_LM(
     N = gm.total.dim
     deta = exterior_derivative(pd.eta)
     rng = policy.rng(f"{name}:fibers")
-    details: list[str] = []
-    stats = ResidualStats()
-    ok = True
-    witness = None
+    f = Findings(name)
     fibers: list[tuple[dict, np.ndarray]] = []
     ranks: dict[int, dict] = {}
 
@@ -734,42 +625,34 @@ def extract_LM(
             fibers.append((y, basis))
             ranks.setdefault(r, y)
             if r > n + 1:
-                ok = False
-                details.append(
+                f.fail(
                     f"fiber span has rank {r} > {n + 1}: the fiber points are inconsistent "
-                    "(this usually signals non-multiplicative data upstream)"
+                    "(this usually signals non-multiplicative data upstream)",
+                    {"base_point": y, "rank": r},
                 )
-                witness = witness or {"base_point": y, "rank": r}
-            if expected is not None:
-                Bexp = expected.fiber_matrix_at(y)
-                if not spans_equal(basis, Bexp, DEFAULT_RTOL):
-                    ok = False
-                    details.append("extracted fiber differs from the expected structure")
-                    witness = witness or {"base_point": y, "rank": r, "expected_rank": expected.rank}
+            if expected is not None and not spans_equal(
+                basis, expected.fiber_matrix_at(y), DEFAULT_RTOL
+            ):
+                f.fail(
+                    "extracted fiber differs from the expected structure",
+                    {"base_point": y, "rank": r, "expected_rank": expected.rank},
+                )
     except SolveError as exc:
         return ExtractionResult(
             error_result(name, f"target-fiber sampling failed: {exc}"), tuple(fibers)
         )
 
     if len(ranks) > 1:
-        ok = False
-        pts = list(ranks.values())[:2]
-        details.append(f"rank jumps across base points: {sorted(ranks)}")
-        witness = witness or {"points": pts, "ranks": sorted(ranks)}
+        f.fail(
+            f"rank jumps across base points: {sorted(ranks)}",
+            {"points": list(ranks.values())[:2], "ranks": sorted(ranks)},
+        )
     elif ranks and next(iter(ranks)) != n + 1:
         r = next(iter(ranks))
-        ok = False
-        details.append(f"extracted rank {r} differs from dim M + 1 = {n + 1}")
-        witness = witness or {"base_point": ranks[r], "rank": r}
-
-    seen: list[str] = []
-    for d in details:
-        if d not in seen:
-            seen.append(d)
-    return ExtractionResult(
-        passfail(name, ok, mode="sampled", stats=stats, details=tuple(seen), witness=witness),
-        tuple(fibers),
-    )
+        f.fail(
+            f"extracted rank {r} differs from dim M + 1 = {n + 1}", {"base_point": ranks[r], "rank": r}
+        )
+    return ExtractionResult(f.result(mode="sampled"), tuple(fibers))
 
 
 # --------------------------------------------------------------------------
@@ -812,19 +695,17 @@ def check_contact_form(
     for _ in range(k):
         vol = wedge(vol, deta)
     top = vol.coefficient(tuple(range(chart.dim)))
+    f = Findings(name)
     if is_structurally_zero(top):
-        return passfail(name, False, mode="symbolic", details=("volume form vanishes identically",))
-    stats = ResidualStats()
-    ok = True
-    witness = None
+        f.fail("volume form vanishes identically")
+        return f.result()
     for p in policy.float_points(chart.coords, f"{name}:points"):
         v = float(evaluate(top, p))
-        stats.add(v)
+        f.residual(v)
         if abs(v) <= policy.tol_abs:
-            ok = False
-            witness = {"point": p, "value": v}
+            f.fail(witness={"point": p, "value": v})
             break
-    return passfail(name, ok, mode="sampled", stats=stats, witness=witness)
+    return f.result(mode="sampled")
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
+
+from .symcalc import ZeroReport, ZeroVerdict
 
 
 class CheckVerdict(enum.Enum):
@@ -96,6 +99,61 @@ def passfail(
         details=details,
         witness=witness,
     )
+
+
+class Findings:
+    """The verdict of one check, assembled from its zero tests, residuals and failures.
+
+    The check fails at its first failing finding; the first witness given is
+    kept; details keep their first occurrence, in order; the mode stays
+    "symbolic" until a zero test is not decided by normalization; every zero
+    test and residual feeds the residual statistics.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.ok = True
+        self.mode = "symbolic"
+        self.stats = ResidualStats()
+        self.details: dict[str, None] = {}
+        self.witness: Mapping[str, Any] | None = None
+
+    def note(self, detail: str) -> None:
+        """Add a detail without changing the verdict."""
+        self.details.setdefault(detail)
+
+    def fail(self, detail: str | None = None, witness: Mapping[str, Any] | None = None) -> None:
+        self.ok = False
+        if detail is not None:
+            self.note(detail)
+        if self.witness is None:
+            self.witness = witness
+
+    def zero(self, rep: ZeroReport, detail: str | None = None, **witness) -> None:
+        """Record a zero test; a nonzero one fails, its point and value joining ``witness``."""
+        self.stats.add(rep.max_abs)
+        if rep.verdict is not ZeroVerdict.ZERO:
+            self.mode = "sampled"
+        if not rep.is_zero:
+            self.fail(detail, {**witness, "point": rep.witness_point, "value": rep.witness_value})
+
+    def residual(
+        self,
+        value: float,
+        tol: float = math.inf,
+        detail: str | None = None,
+        witness: Mapping[str, Any] | None = None,
+    ) -> None:
+        """Record a residual; one above ``tol`` fails."""
+        self.stats.add(value)
+        if value > tol:
+            self.fail(detail, witness)
+
+    def result(self, mode: str | None = None) -> CheckResult:
+        return passfail(
+            self.name, self.ok, mode=mode or self.mode, stats=self.stats,
+            details=tuple(self.details), witness=self.witness,
+        )
 
 
 def error_result(name: str, message: str, *, witness=None) -> CheckResult:

@@ -69,7 +69,7 @@ from .groupoid import (
     pair_groupoid,
     pair_groupoid_with_line,
 )
-from .report import CheckResult, CheckVerdict, error_result, passfail
+from .report import CheckResult, CheckVerdict, Findings, error_result, passfail
 from .structures import (
     Ambient,
     ConformalFactor,
@@ -126,7 +126,7 @@ class Scenario:
     maps: dict[str, SmoothMap]
     structures: dict[str, FrameSubbundle]
     groupoids: dict[str, GroupoidModel]
-    precontact: dict[str, tuple[str, PrecontactData]]  # name -> (groupoid name, data)
+    precontact: dict[str, tuple[GroupoidModel, PrecontactData]]
     checks: list[CheckSpec]
     digest: str
     source_name: str
@@ -219,6 +219,11 @@ def _chart_of(key: str):
     return lambda got: got[key].chart.coords
 
 
+def _on_chart(got: dict) -> tuple[str, ...]:
+    """Where an expression argument parses: on the chart named by ``chart``."""
+    return got["chart"].coords
+
+
 class MapComponents(NamedTuple):
     """One component expression per coordinate of the chart ``target``, on ``source``."""
 
@@ -234,6 +239,49 @@ class MapComponents(NamedTuple):
             return _BAD
         exprs = [b.expr_on(src.coords, c, f"{where}[{i}]") for i, c in enumerate(value)]
         return _BAD if any(e is None for e in exprs) else SmoothMap(src, dst, tuple(exprs))
+
+
+class Degree(NamedTuple):
+    """The degree of a form or multivector: a non-negative integer."""
+
+    key: str
+    default: int
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        if value is None:
+            return self.default
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+            return value
+        b.fail(f"{where}: degree must be a non-negative integer")
+        return _BAD
+
+
+class Coefficients(NamedTuple):
+    """A ``cls`` table ``"x,y": expr`` of degree ``degree`` on the chart ``chart``."""
+
+    key: str
+    cls: type
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        chart, degree = got["chart"], got["degree"]
+        table = b.form_table(chart, degree, value or {}, where)
+        if table is None:
+            return _BAD
+        try:
+            return self.cls(chart, degree, table)
+        except ChartError as exc:
+            b.fail(f"{where}: {exc}")
+            return _BAD
+
+
+class Components(NamedTuple):
+    """A vector field ``x: expr`` on the chart ``chart``."""
+
+    key: str
+
+    def resolve(self, b: "_Builder", value, got: dict, where: str):
+        field = b.vector_field(got["chart"], value or {}, where)
+        return _BAD if field is None else field
 
 
 class Generators(NamedTuple):
@@ -406,10 +454,7 @@ def _central_extension_agrees(policy, name, structure, f1, f2):
     if L0.ambient is not Ambient.TM_TSTAR:
         return error_result(name, "central extension needs a TM+T*M frame")
     A0 = AlgebroidOnL(L0)
-    ok = True
-    details: list[str] = []
-    witness = None
-    mode = "symbolic"
+    f = Findings(name)
     for i, gi in enumerate(L0.generators):
         for j, gj in enumerate(L0.generators):
             if i == j:
@@ -425,17 +470,8 @@ def _central_extension_agrees(policy, name, structure, f1, f2):
                 + [eb.g - ce_scalar]
             )
             rep = check_zero_all(diffs, policy, coords=L0.chart.coords, label=f"{name}:{i},{j}")
-            if rep.verdict.value != "ZERO":
-                mode = "sampled"
-            if not rep.is_zero:
-                ok = False
-                details.append(f"brackets disagree on generators ({i}, {j})")
-                witness = witness or {
-                    "pair": [i, j],
-                    "point": rep.witness_point,
-                    "value": rep.witness_value,
-                }
-    return passfail(name, ok, mode=mode, details=tuple(details), witness=witness)
+            f.zero(rep, f"brackets disagree on generators ({i}, {j})", pair=[i, j])
+    return f.result()
 
 
 def _eta_omega_roundtrip(policy, name, data, fiber, time):
@@ -484,7 +520,7 @@ def _equivalence_commutes(policy, name, data, factor, expected):
 # fn(policy, name, **args) -> CheckResult
 CHECKS: dict[str, Kind] = {
     "expr-zero": Kind(_expr_zero, Ref("chart", "charts"),
-                      Expression("expr", lambda got: got["chart"].coords)),
+                      Expression("expr", _on_chart)),
     "maximal-isotropy": Kind(
         lambda policy, name, structure: check_maximal_isotropy(structure, policy, name=name),
         Ref("structure", "structures")),
@@ -549,8 +585,19 @@ CHECKS: dict[str, Kind] = {
 # loading
 # --------------------------------------------------------------------------
 
-_MAP_ARGS = (Ref("source", "charts"), Ref("target", "charts"),
-             MapComponents("components", "source", "target"))
+# the declared arguments of each entry of the sections that are not kind families
+_SECTION_ARGS = {
+    "expressions": (Ref("chart", "charts"), Expression("expr", _on_chart, REQUIRED)),
+    "fields": (Ref("chart", "charts"), Components("components")),
+    "forms": (Ref("chart", "charts"), Degree("degree", 1), Coefficients("coeffs", DifferentialForm)),
+    "multivectors": (Ref("chart", "charts"), Degree("degree", 2), Coefficients("coeffs", Multivector)),
+    "maps": (Ref("source", "charts"), Ref("target", "charts"),
+             MapComponents("components", "source", "target")),
+    # precontact data is a 1-form theta on the base, or eta on the total chart with sigma
+    "precontact": (Ref("groupoid", "groupoids"), Ref("theta", "forms", False), Value("time", str, "t"),
+                   Ref("eta", "forms", False),
+                   Expression("sigma", lambda got: got["groupoid"].total.coords)),
+}
 
 
 class _Builder:
@@ -565,7 +612,7 @@ class _Builder:
         self.maps: dict[str, SmoothMap] = {}
         self.structures: dict[str, FrameSubbundle] = {}
         self.groupoids: dict[str, GroupoidModel] = {}
-        self.precontact: dict[str, tuple[str, PrecontactData]] = {}
+        self.precontact: dict[str, tuple[GroupoidModel, PrecontactData]] = {}
         self.checks: list[CheckSpec] = []
 
     def fail(self, msg: str) -> None:
@@ -596,9 +643,6 @@ class _Builder:
             label = "precontact data" if section == "precontact" else section.rstrip("s")
             self.fail(f"{where}: unknown {label} '{name}'")
             return None
-        if section == "precontact":  # runners take the groupoid itself, not its name
-            gm_name, pd = table[name]
-            return self.groupoids[gm_name], pd
         return table[name]
 
     def expr_on(self, coords: tuple[str, ...], text, where: str) -> Expr | None:
@@ -684,44 +728,24 @@ class _Builder:
             except ChartError as exc:
                 self.fail(f"chart '{name}': {exc}")
 
-    def build_expressions(self) -> None:
-        for name, spec, where in self.mappings("expressions", "expression"):
-            chart = self.lookup("charts", spec.get("chart"), where)
-            if chart is None:
-                continue
-            e = self.expr_on(chart.coords, spec.get("expr"), where)
-            if e is not None:
-                self.expressions[name] = (chart, e)
-
-    def build_fields(self) -> None:
-        for name, spec, where in self.mappings("fields", "field"):
-            chart = self.lookup("charts", spec.get("chart"), where)
-            if chart is not None:
-                field = self.vector_field(chart, spec.get("components") or {}, where)
-                if field is not None:
-                    self.fields[name] = field
-
-    def build_tensors(self, key: str, label: str, cls, default_degree: int) -> None:
+    def declared(self, key: str, label: str):
+        """(name, resolved arguments, where) for each entry of section ``key``."""
         for name, spec, where in self.mappings(key, label):
-            chart = self.lookup("charts", spec.get("chart"), where)
-            if chart is None:
-                continue
-            degree = spec.get("degree", default_degree)
-            if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-                self.fail(f"{where}: degree must be a non-negative integer")
-                continue
-            table = self.form_table(chart, degree, spec.get("coeffs") or {}, where)
-            if table is not None:
-                try:
-                    getattr(self, key)[name] = cls(chart, degree, table)
-                except ChartError as exc:
-                    self.fail(f"{where}: {exc}")
-
-    def build_maps(self) -> None:
-        for name, spec, where in self.mappings("maps", "map"):
-            args = self.resolve(_MAP_ARGS, spec, where, ())
+            args = self.resolve(_SECTION_ARGS[key], spec, where, ())
             if args is not None:
-                self.maps[name] = args["components"]
+                yield name, args, where
+
+    def build_sections(self) -> None:
+        for name, args, _ in self.declared("expressions", "expression"):
+            self.expressions[name] = (args["chart"], args["expr"])
+        for name, args, _ in self.declared("fields", "field"):
+            self.fields[name] = args["components"]
+        for name, args, _ in self.declared("forms", "form"):
+            self.forms[name] = args["coeffs"]
+        for name, args, _ in self.declared("multivectors", "multivector"):
+            self.multivectors[name] = args["coeffs"]
+        for name, args, _ in self.declared("maps", "map"):
+            self.maps[name] = args["components"]
 
     def build_kinds(self, key: str, label: str, registry: dict, *leading):
         """(name, object) for each entry of section ``key``, built by its kind."""
@@ -751,32 +775,19 @@ class _Builder:
             self.structures[name] = L
 
     def build_precontact(self) -> None:
-        for name, spec, where in self.mappings("precontact", "precontact"):
-            gm_name = spec.get("groupoid")
-            gm = self.lookup("groupoids", gm_name, where)
-            if gm is None:
-                continue
-            if "theta" in spec:
-                theta = self.lookup("forms", spec.get("theta"), where)
-                if theta is None:
-                    continue
+        for name, args, where in self.declared("precontact", "precontact"):
+            gm, theta, eta = args["groupoid"], args["theta"], args["eta"]
+            if theta is not None:
                 try:
-                    pd = eta_from_precontact_form(gm, theta, time=spec.get("time", "t"))
+                    self.precontact[name] = gm, eta_from_precontact_form(gm, theta, args["time"])
                 except ChartError as exc:
                     self.fail(f"{where}: {exc}")
-                    continue
+            elif eta is None:
+                self.fail(f"{where}: missing required argument 'eta'")
+            elif eta.chart != gm.total:
+                self.fail(f"{where}: eta must live on the groupoid total chart")
             else:
-                eta = self.lookup("forms", spec.get("eta"), where)
-                if eta is None:
-                    continue
-                sigma = self.expr_on(gm.total.coords, spec.get("sigma", "0"), f"{where}, sigma")
-                if sigma is None:
-                    continue
-                if eta.chart != gm.total:
-                    self.fail(f"{where}: eta must live on the groupoid total chart")
-                    continue
-                pd = PrecontactData(eta, sigma)
-            self.precontact[name] = (gm_name, pd)
+                self.precontact[name] = gm, PrecontactData(eta, args["sigma"])
 
     def build_checks(self) -> None:
         raw = self.doc.get("checks")
@@ -850,11 +861,7 @@ def load_scenario(path: str | Path) -> Scenario:
     # (<name>.total, <name>.base, <name>.pairs) are referencable everywhere
     builder.build_charts()
     builder.build_groupoids(policy)
-    builder.build_expressions()
-    builder.build_fields()
-    builder.build_tensors("forms", "form", DifferentialForm, 1)
-    builder.build_tensors("multivectors", "multivector", Multivector, 2)
-    builder.build_maps()
+    builder.build_sections()
     builder.build_structures()
     builder.build_precontact()
     builder.build_checks()

@@ -56,14 +56,13 @@ from .linalg import (
     orthonormal_columns,
     spans_equal,
 )
-from .report import CheckResult, ResidualStats, error_result, passfail
+from .report import CheckResult, Findings, ResidualStats, error_result, passfail
 from .symcalc import (
     Expr,
     Exp,
     ZERO,
     ONE,
     SamplingPolicy,
-    ZeroVerdict,
     as_expr,
     check_zero_all,
     coord,
@@ -315,31 +314,16 @@ def check_maximal_isotropy(
     L: FrameSubbundle, policy: SamplingPolicy, name: str = "maximal-isotropy"
 ) -> CheckResult:
     """All pairwise pairings vanish and the span has full expected rank."""
-    details: list[str] = []
-    stats = ResidualStats()
-    witness = None
-    ok = True
-    mode = "symbolic"
-
+    f = Findings(name)
     if L.rank != L.expected_rank:
-        ok = False
-        details.append(
-            f"declared rank {L.rank} differs from maximal-isotropic rank {L.expected_rank}"
-        )
+        f.fail(f"declared rank {L.rank} differs from maximal-isotropic rank {L.expected_rank}")
 
     for i in range(len(L.generators)):
         for j in range(i, len(L.generators)):
             rep = check_zero_all(
                 [L.pairing(i, j)], policy, coords=L.chart.coords, label=f"{name}:pair:{i},{j}"
             )
-            stats.add(rep.max_abs)
-            if rep.verdict is not ZeroVerdict.ZERO:
-                mode = "sampled"
-            if not rep.is_zero:
-                ok = False
-                details.append(f"pairing of generators ({i}, {j}) is nonzero")
-                if witness is None:
-                    witness = {"pair": [i, j], "point": rep.witness_point, "value": rep.witness_value}
+            f.zero(rep, f"pairing of generators ({i}, {j}) is nonzero", pair=[i, j])
 
     deficient = []
     for point in _sample_points(L, policy, f"{name}:rank"):
@@ -347,15 +331,12 @@ def check_maximal_isotropy(
         if r != L.expected_rank:
             deficient.append((point, r))
     if deficient:
-        ok = False
         point, r = deficient[0]
-        details.append(
-            f"rank {r} instead of {L.expected_rank} at {len(deficient)} sampled point(s)"
+        f.fail(
+            f"rank {r} instead of {L.expected_rank} at {len(deficient)} sampled point(s)",
+            {"point": point, "rank": r},
         )
-        if witness is None:
-            witness = {"point": point, "rank": r}
-
-    return passfail(name, ok, mode=mode, stats=stats, details=tuple(details), witness=witness)
+    return f.result()
 
 
 def check_involutivity(
@@ -378,9 +359,7 @@ def check_involutivity(
     for i in range(len(L.generators)):
         for j in range(i + 1, len(L.generators)):
             value = L.bracket(i, j)
-            if isinstance(value, SectionTM) and value.is_structurally_zero():
-                continue
-            if isinstance(value, SectionE1) and value.is_structurally_zero():
+            if value.is_structurally_zero():
                 continue
             pair_ok = True
             for point in points:
@@ -415,14 +394,12 @@ def check_structures_equal(
             name,
             f"charts have different coordinates: {A.chart.coords} vs {B.chart.coords}",
         )
-    ok = True
-    witness = None
+    f = Findings(name)
     for point in policy.float_points(A.chart.coords, f"{name}:points"):
         if not spans_equal(A.fiber_matrix_at(point), B.fiber_matrix_at(point), DEFAULT_RTOL):
-            ok = False
-            witness = {"point": point}
+            f.fail(witness={"point": point})
             break
-    return passfail(name, ok, mode="sampled", witness=witness)
+    return f.result(mode="sampled")
 
 
 def _flip_form_rows(M: np.ndarray, ambient: Ambient, n: int) -> np.ndarray:
@@ -458,9 +435,7 @@ def check_forward_map(
 
     m, n = F.source.dim, F.target.dim
     e1 = L_src.ambient is Ambient.E1
-    ok = True
-    witness = None
-    details: list[str] = []
+    f = Findings(name)
     for p in policy.float_points(F.source.coords, f"{name}:points"):
         q = F.evaluate(p)
         J = F.jacobian_at(p)
@@ -494,10 +469,9 @@ def check_forward_map(
             target = _flip_form_rows(target, L_dst.ambient, n)
         expected = L_dst.expected_rank
         got = matrix_rank(pushed, DEFAULT_RTOL)
-        if got != expected and not details:
-            details.append(f"pushforward fiber has rank {got}, expected {expected}")
+        if got != expected and not f.details:
+            f.note(f"pushforward fiber has rank {got}, expected {expected}")
         if not spans_equal(pushed, target, DEFAULT_RTOL):
-            ok = False
-            witness = {"point": p, "image": q, "pushforward_rank": got}
+            f.fail(witness={"point": p, "image": q, "pushforward_rank": got})
             break
-    return passfail(name, ok, mode="sampled", details=tuple(details), witness=witness)
+    return f.result(mode="sampled")

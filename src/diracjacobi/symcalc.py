@@ -20,8 +20,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 Number = Union[int, float, Fraction]
 
-_FUNCTION_NAMES = ("exp", "ln", "sin", "cos")
-
 
 class ExprError(Exception):
     """Base class for expression-level failures."""
@@ -64,10 +62,10 @@ class Expr:
         return normalize(Sum((as_expr(other), self)))
 
     def __sub__(self, other) -> "Expr":
-        return normalize(Sum((self, Neg(as_expr(other)))))
+        return normalize(Sum((self, Product((MINUS_ONE, as_expr(other))))))
 
     def __rsub__(self, other) -> "Expr":
-        return normalize(Sum((as_expr(other), Neg(self))))
+        return normalize(Sum((as_expr(other), Product((MINUS_ONE, self)))))
 
     def __mul__(self, other) -> "Expr":
         return normalize(Product((self, as_expr(other))))
@@ -87,7 +85,7 @@ class Expr:
         return normalize(IntegerPower(self, exponent))
 
     def __neg__(self) -> "Expr":
-        return normalize(Neg(self))
+        return normalize(Product((MINUS_ONE, self)))
 
     def __str__(self) -> str:
         return render(self)
@@ -126,11 +124,6 @@ class IntegerPower(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
 class Exp(Expr):
     arg: Expr
 
@@ -150,8 +143,12 @@ class Cos(Expr):
     arg: Expr
 
 
+# the elementary functions, by their names in the expression grammar
+FUNCTIONS = {"exp": Exp, "ln": Ln, "sin": Sin, "cos": Cos}
+
 ZERO = Constant(Fraction(0))
 ONE = Constant(Fraction(1))
+MINUS_ONE = Constant(Fraction(-1))
 
 
 def as_expr(value) -> Expr:
@@ -188,7 +185,7 @@ def free_coordinates(e: Expr) -> frozenset[str]:
         return free_coordinates(e.numerator) | free_coordinates(e.denominator)
     if isinstance(e, IntegerPower):
         return free_coordinates(e.base)
-    if isinstance(e, (Neg, Exp, Ln, Sin, Cos)):
+    if isinstance(e, (Exp, Ln, Sin, Cos)):
         return free_coordinates(e.arg)
     raise TypeError(f"unknown node {e!r}")
 
@@ -279,10 +276,6 @@ def normalize(e: Expr) -> Expr:
 
 
 def _normalize(e: Expr) -> Expr:
-    if isinstance(e, Neg):
-        inner = normalize(e.arg)
-        return normalize(Product((Constant(Fraction(-1)), inner)))
-
     if isinstance(e, Sum):
         buckets: dict[tuple[Expr, ...], Fraction] = {}
         order: list[tuple[Expr, ...]] = []
@@ -450,7 +443,7 @@ def _normalize(e: Expr) -> Expr:
             return ZERO
         sign, stripped = _strip_sign(arg)
         if sign < 0:
-            return normalize(Product((Constant(Fraction(-1)), Sin(stripped))))
+            return normalize(Product((MINUS_ONE, Sin(stripped))))
         return Sin(arg)
 
     if isinstance(e, Cos):
@@ -482,8 +475,6 @@ def is_rational(e: Expr) -> bool:
         return is_rational(e.numerator) and is_rational(e.denominator)
     if isinstance(e, IntegerPower):
         return is_rational(e.base)
-    if isinstance(e, Neg):
-        return is_rational(e.arg)
     return False
 
 
@@ -553,7 +544,7 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.tokens.next()
                 t = self.term()
-                terms.append(t if value == "+" else Neg(t))
+                terms.append(t if value == "+" else Product((MINUS_ONE, t)))
             else:
                 return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
 
@@ -572,7 +563,7 @@ class _Parser:
         kind, value, _ = self.tokens.peek()
         if kind == "op" and value == "-":
             self.tokens.next()
-            return Neg(self.unary())
+            return Product((MINUS_ONE, self.unary()))
         if kind == "op" and value == "+":
             self.tokens.next()
             return self.unary()
@@ -598,7 +589,7 @@ class _Parser:
         if kind == "number":
             return Constant(Fraction(value))
         if kind == "ident":
-            if value in _FUNCTION_NAMES:
+            if value in FUNCTIONS:
                 k, v, p = self.tokens.next()
                 if k != "op" or v != "(":
                     raise ExprSyntaxError(f"expected '(' after {value}", p)
@@ -606,7 +597,7 @@ class _Parser:
                 k, v, p = self.tokens.next()
                 if k != "op" or v != ")":
                     raise ExprSyntaxError("expected ')'", p)
-                return {"exp": Exp, "ln": Ln, "sin": Sin, "cos": Cos}[value](arg)
+                return FUNCTIONS[value](arg)
             if value not in self.coords:
                 raise UnknownSymbolError(value, pos)
             return Coordinate(value)
@@ -632,7 +623,7 @@ def parse(text: str, coords: Sequence[str]) -> Expr:
 def _precedence(e: Expr) -> int:
     if isinstance(e, Sum):
         return 1
-    if isinstance(e, (Product, Quotient, Neg)):
+    if isinstance(e, (Product, Quotient)):
         return 2
     if isinstance(e, IntegerPower):
         return 3
@@ -670,8 +661,6 @@ def render(e: Expr) -> str:
         return f"{_wrap(e.numerator, 2)}/{_wrap(e.denominator, 3)}"
     if isinstance(e, IntegerPower):
         return f"{_wrap(e.base, 4)}^{e.exponent}"
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.arg, 3)}"
     if isinstance(e, Exp):
         return f"exp({render(e.arg)})"
     if isinstance(e, Ln):
@@ -708,15 +697,13 @@ def _diff(e: Expr, v: str) -> Expr:
     if isinstance(e, Quotient):
         num, den = e.numerator, e.denominator
         return Quotient(
-            Sum((Product((_diff(num, v), den)), Neg(Product((num, _diff(den, v)))))),
+            Sum((Product((_diff(num, v), den)), Product((MINUS_ONE, num, _diff(den, v))))),
             IntegerPower(den, 2),
         )
     if isinstance(e, IntegerPower):
         return Product(
             (Constant(Fraction(e.exponent)), IntegerPower(e.base, e.exponent - 1), _diff(e.base, v))
         )
-    if isinstance(e, Neg):
-        return Neg(_diff(e.arg, v))
     if isinstance(e, Exp):
         return Product((e, _diff(e.arg, v)))
     if isinstance(e, Ln):
@@ -724,7 +711,7 @@ def _diff(e: Expr, v: str) -> Expr:
     if isinstance(e, Sin):
         return Product((Cos(e.arg), _diff(e.arg, v)))
     if isinstance(e, Cos):
-        return Neg(Product((Sin(e.arg), _diff(e.arg, v))))
+        return Product((MINUS_ONE, Sin(e.arg), _diff(e.arg, v)))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -751,8 +738,6 @@ def _subst(e: Expr, a: Mapping[str, Expr]) -> Expr:
         return Quotient(_subst(e.numerator, a), _subst(e.denominator, a))
     if isinstance(e, IntegerPower):
         return IntegerPower(_subst(e.base, a), e.exponent)
-    if isinstance(e, Neg):
-        return Neg(_subst(e.arg, a))
     if isinstance(e, Exp):
         return Exp(_subst(e.arg, a))
     if isinstance(e, Ln):
@@ -810,8 +795,6 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
         if base == 0 and e.exponent < 0:
             raise EvaluationError("division by zero")
         return base**e.exponent
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, point)
     if isinstance(e, Exp):
         return _exp(float(evaluate(e.arg, point)))
     if isinstance(e, Ln):
@@ -868,9 +851,6 @@ def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, flo
         v = bv**e.exponent
         s = bs**e.exponent if e.exponent >= 0 else abs(v)
         return v, max(abs(v), s)
-    if isinstance(e, Neg):
-        v, s = evaluate_with_scale(e.arg, point)
-        return -v, s
     if isinstance(e, Exp):
         av, asc = evaluate_with_scale(e.arg, point)
         v = _exp(av)
@@ -984,7 +964,9 @@ def check_zero_all(
     accepted = 0
     attempts = 0
     max_abs = 0.0
-    den = 97
+    # a 1/97 grid, refined so that even a box narrower than one unit holds
+    # about 97 grid points
+    den = 97 * math.ceil(max(1, 1 / (Fraction(hi) - Fraction(lo))))
     nlo, nhi = math.ceil(lo * den), math.floor(hi * den)
 
     while accepted < policy.count:

@@ -153,10 +153,21 @@ ONE_CHECK = "checks: [{check: involutivity, structure: L0}]\n"
          "unknown argument 'strucutre'"),
         ("multivectors: {P: {chart: M, degree: two}}\n" + ONE_CHECK,
          "degree must be a non-negative integer"),
+        ('multivectors: {P: {chart: M, degree: 2, coefs: {"x,y": "1"}}}\n' + ONE_CHECK,
+         "multivector 'P': unknown argument 'coefs'"),
+        ("expressions: {e: {chart: M, expr: x, exp: y}}\n" + ONE_CHECK,
+         "expression 'e': unknown argument 'exp'"),
+        ("fields: {Z: {chart: M, components: {x: '1'}, comps: {}}}\n" + ONE_CHECK,
+         "field 'Z': unknown argument 'comps'"),
+        ("groupoids: {G: {kind: pair-line, base: M}}\n"
+         "precontact: {D: {groupoid: G, theta: theta, tim: t}}\n" + ONE_CHECK,
+         "precontact 'D': unknown argument 'tim'"),
     ],
     ids=["box-not-numbers", "tol-not-a-number", "box-empty", "cochain-index-not-integers",
          "cochain-index-three-slots", "cochain-index-out-of-range", "cocycle-values-not-a-list",
-         "expression-does-not-parse", "flag-not-boolean", "unknown-argument", "degree-not-integer"],
+         "expression-does-not-parse", "flag-not-boolean", "unknown-argument", "degree-not-integer",
+         "coeffs-misspelt", "expression-key-misspelt", "field-key-misspelt",
+         "precontact-key-misspelt"],
 )
 def test_malformed_values_exit_2_at_load(tmp_path, capsys, extra, problem):
     p = tmp_path / "malformed.scn"
@@ -173,6 +184,17 @@ def test_malformed_values_all_listed(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(p)
     assert len(err.value.problems) == 3
+
+
+def test_box_narrower_than_the_rational_grid(tmp_path, capsys):
+    p = tmp_path / "narrow.scn"
+    p.write_text('name: narrow\nbox: [0.001, 0.002]\ncharts: {M: [x, y]}\n'
+                 'checks: [{check: expr-zero, chart: M, expr: "x - y"}]\n')
+    assert main(["run", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert "expr-zero#1: FAIL" in out and "Traceback" not in err
+    (outcome,) = run_scenario(load_scenario(p)).outcomes
+    assert all(0.001 <= v <= 0.002 for v in outcome.result.witness["point"].values())
 
 
 class TestNonFiniteSamples:

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from diracjacobi.symcalc import (
     Constant,
     Coordinate,
+    Cos,
     EvaluationError,
     Exp,
     ExprSyntaxError,
     IntegerPower,
+    Ln,
     Product,
     SamplingPolicy,
+    Sin,
     Sum,
     UnknownSymbolError,
     ZeroVerdict,
@@ -182,6 +185,10 @@ def exprs(coords=XYT, max_leaves=8):
             st.tuples(children, children).map(lambda ab: Product(ab)),
             st.tuples(children, st.integers(0, 3)).map(lambda bn: IntegerPower(*bn)),
             children.map(Exp),
+            children.map(Ln),
+            children.map(Sin),
+            children.map(Cos),
+            children.map(lambda e: -e),
         )
 
     return st.recursive(leaves, extend, max_leaves=max_leaves)
