@@ -498,10 +498,6 @@ class SmoothMap:
             name: float(evaluate(c, point)) for name, c in zip(self.target.coords, self.components)
         }
 
-    def evaluate_array(self, z: np.ndarray) -> np.ndarray:
-        point = self.source.dict_point(z)
-        return np.array([float(evaluate(c, point)) for c in self.components])
-
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
         return tuple(
             tuple(differentiate(c, name) for name in self.source.coords) for c in self.components

@@ -6,6 +6,10 @@ composable pairs (two projections realize the parametrization; the locus
 constraint source(left) = target(right) is itself verified).  Composability
 follows the convention m(g, h) defined when source(g) = target(h).
 
+Each pair-chart coordinate is a plain component of pair_left or pair_right, so
+the pair chart is G x_M G, read off each composable pair, and the unit, inverse
+and associativity laws are exact identities, decided like any zero test.
+
 On top of the axioms live the precontact and presymplectic verifications,
 the action groupoid twisted by a multiplicative function, the 1-form /
 homogeneous-2-form correspondence, the conformal equivalence transform, and
@@ -14,8 +18,8 @@ the fiberwise extraction of the base structure from precontact data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .chart_tensor import (
     VectorField,
     coordinate_field,
     exterior_derivative,
-    identity_map,
     interior_product,
     lie_derivative,
     product_chart,
@@ -38,6 +41,7 @@ from .linalg import DEFAULT_RTOL, null_space, orthonormal_columns, spans_equal
 from .report import CheckResult, Findings, error_result
 from .structures import ConformalFactor, FrameSubbundle
 from .symcalc import (
+    Coordinate,
     Exp,
     Expr,
     Ln,
@@ -54,16 +58,15 @@ from .symcalc import (
     substitute,
 )
 
-LAW_RTOL = 1e-8  # numeric groupoid-law tolerance, scaled by 1 + |value|
-NEWTON_TOL = 1e-12
-
 
 class GroupoidModelError(ValueError):
     """The supplied model data is inconsistent (not a verification failure)."""
 
 
-class SolveError(RuntimeError):
-    """A numeric locate/fiber solve did not converge."""
+def _plain(component: Expr) -> str | None:
+    """The coordinate a map component is, if it is a plain coordinate."""
+    c = normalize(component)
+    return c.name if isinstance(c, Coordinate) else None
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ class GroupoidModel:
     pair_left: SmoothMap  # P -> G
     pair_right: SmoothMap  # P -> G
     multiplication: SmoothMap  # P -> G
+    # per pair-chart coordinate, its first plain component: (0 left / 1 right, index)
+    readoff: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checks = (
@@ -92,6 +97,21 @@ class GroupoidModel:
         for m, src, dst, what in checks:
             if m.source != src or m.target != dst:
                 raise GroupoidModelError(f"{what} map has wrong charts")
+        slots: dict[str, tuple[int, int]] = {}
+        for side, F in enumerate((self.pair_left, self.pair_right)):
+            for i, c in enumerate(map(_plain, F.components)):
+                if c is not None:
+                    slots.setdefault(c, (side, i))
+        missing = [c for c in self.pair_chart.coords if c not in slots]
+        if missing:
+            raise GroupoidModelError(
+                f"pair coordinates {missing} are no plain component of pair_left or pair_right"
+            )
+        object.__setattr__(self, "readoff", tuple(slots[c] for c in self.pair_chart.coords))
+
+    def read_off(self, g: Sequence, h: Sequence) -> tuple:
+        """The pair-chart point of (g, h), coordinates given in total-chart order."""
+        return tuple((g, h)[side][i] for side, i in self.readoff)
 
 
 @dataclass(frozen=True)
@@ -120,89 +140,33 @@ class PresymplecticData:
 
 
 # --------------------------------------------------------------------------
-# numeric solves on the model
+# pairs and fibers by read-off
 # --------------------------------------------------------------------------
-
-
-def _gauss_newton(
-    value,  # z -> residual vector
-    jac,  # z -> Jacobian
-    dim: int,
-    rng,
-    box: tuple[float, float],
-    starts: int = 8,
-    iters: int = 60,
-) -> np.ndarray:
-    lo, hi = box
-    first = np.full(dim, (lo + hi) / 2.0)
-    for attempt in range(starts):
-        z = first if attempt == 0 else np.array([rng.uniform(lo, hi) for _ in range(dim)])
-        for _ in range(iters):
-            r = value(z)
-            if np.max(np.abs(r)) <= NEWTON_TOL:
-                return z
-            J = jac(z)
-            step, *_ = np.linalg.lstsq(J, r, rcond=None)
-            z = z - step
-            if np.max(np.abs(z)) > 1e6:
-                break
-        else:
-            r = value(z)
-            if np.max(np.abs(r)) <= NEWTON_TOL:
-                return z
-    raise SolveError("Gauss-Newton did not converge")
 
 
 def locate_pair(
     gm: GroupoidModel, g: Mapping[str, float], h: Mapping[str, float], rng
 ) -> dict[str, float]:
-    """Find the pair-chart point representing the composable pair (g, h)."""
-    gv = gm.total.array_point(g)
-    hv = gm.total.array_point(h)
-
-    def value(z):
-        p = gm.pair_chart.dict_point(z)
-        return np.concatenate(
-            [gm.pair_left.evaluate_array(z) - gv, gm.pair_right.evaluate_array(z) - hv]
-        )
-
-    def jac(z):
-        p = gm.pair_chart.dict_point(z)
-        return np.vstack([gm.pair_left.jacobian_at(p), gm.pair_right.jacobian_at(p)])
-
-    z = _gauss_newton(value, jac, gm.pair_chart.dim, rng, (-2.0, 2.0))
-    return gm.pair_chart.dict_point(z)
+    """The pair-chart point representing the composable pair (g, h); rng is unused."""
+    return gm.pair_chart.dict_point(gm.read_off(gm.total.array_point(g), gm.total.array_point(h)))
 
 
 def sample_fiber(
     F: SmoothMap, y: Mapping[str, float], rng, box: tuple[float, float], k: int
 ) -> list[dict[str, float]]:
-    """k points of the fiber F^{-1}(y), found by Gauss-Newton from random starts."""
-    yv = F.target.array_point(y)
-
-    def value(z):
-        return F.evaluate_array(z) - yv
-
-    def jac(z):
-        return F.jacobian_at(F.source.dict_point(z))
-
-    out = []
-    for _ in range(k):
-        z = _gauss_newton(value, jac, F.source.dim, rng, box, starts=10)
-        out.append(F.source.dict_point(z))
-    return out
-
-
-def _compose_points(gm: GroupoidModel, g, h, rng) -> dict[str, float]:
-    w = locate_pair(gm, g, h, rng)
-    return gm.multiplication.evaluate(w)
-
-
-def _close(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    keys = a.keys()
-    num = max(abs(a[k] - b[k]) for k in keys)
-    scale = 1.0 + max(max(abs(a[k]) for k in keys), max(abs(b[k]) for k in keys))
-    return num / scale
+    """k points of the fiber F^{-1}(y) of a coordinate projection F: the coordinates
+    F's components name are fixed at y, the others drawn from rng in box."""
+    fixed: dict[str, float] = {}
+    for name, c in zip(F.target.coords, F.components):
+        c = _plain(c)
+        if c is None or c in fixed:
+            raise GroupoidModelError(f"map to {F.target.name} is no coordinate projection")
+        fixed[c] = float(y[name])
+    lo, hi = box
+    return [
+        {c: fixed[c] if c in fixed else rng.uniform(lo, hi) for c in F.source.coords}
+        for _ in range(k)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -210,17 +174,26 @@ def _close(a: Mapping[str, float], b: Mapping[str, float]) -> float:
 # --------------------------------------------------------------------------
 
 
-def _map_difference(a: SmoothMap, b: SmoothMap) -> list[Expr]:
-    return [x - y for x, y in zip(a.components, b.components)]
+def _at(F: SmoothMap, point: Sequence[Expr]) -> tuple[Expr, ...]:
+    """F at a point whose coordinates are expressions."""
+    a = dict(zip(F.source.coords, point))
+    return tuple(substitute(c, a) for c in F.components)
+
+
+def _differences(a: Sequence[Expr], b: Sequence[Expr]) -> list[Expr]:
+    return [x - y for x, y in zip(a, b)]
 
 
 def check_groupoid(
     gm: GroupoidModel, policy: SamplingPolicy, name: str = "groupoid-axioms"
 ) -> CheckResult:
-    """Structural-map identities plus sampled unit/inversion/associativity laws."""
+    """Structural-map identities, and the unit, inverse and associativity laws
+    as exact identities over the read-off of each composable pair."""
+    x, g, w = (tuple(map(coord, ch.coords)) for ch in (gm.base, gm.total, gm.pair_chart))
+    left, right, gh = _at(gm.pair_left, w), _at(gm.pair_right, w), _at(gm.multiplication, w)
     # the parametrization must actually hit the composable locus
     locus = check_zero_all(
-        _map_difference(gm.source.compose(gm.pair_left), gm.target.compose(gm.pair_right)),
+        _differences(_at(gm.source, left), _at(gm.target, right)),
         policy,
         coords=gm.pair_chart.coords,
         label=f"{name}:locus",
@@ -232,69 +205,59 @@ def check_groupoid(
             witness={"point": locus.witness_point, "value": locus.witness_value},
         )
 
-    symbolic_laws = (
-        ("source-of-unit", _map_difference(gm.source.compose(gm.unit), identity_map(gm.base)), gm.base),
-        ("target-of-unit", _map_difference(gm.target.compose(gm.unit), identity_map(gm.base)), gm.base),
-        (
-            "source-of-product",
-            _map_difference(gm.source.compose(gm.multiplication), gm.source.compose(gm.pair_right)),
-            gm.pair_chart,
-        ),
-        (
-            "target-of-product",
-            _map_difference(gm.target.compose(gm.multiplication), gm.target.compose(gm.pair_left)),
-            gm.pair_chart,
-        ),
-        ("source-of-inverse", _map_difference(gm.source.compose(gm.inversion), gm.target), gm.total),
-        ("target-of-inverse", _map_difference(gm.target.compose(gm.inversion), gm.source), gm.total),
-        (
-            "inversion-involutive",
-            _map_difference(gm.inversion.compose(gm.inversion), identity_map(gm.total)),
-            gm.total,
-        ),
-    )
+    unit_t, unit_s = _at(gm.unit, _at(gm.target, g)), _at(gm.unit, _at(gm.source, g))
+    inv_g = _at(gm.inversion, g)
     f = Findings(name)
-    for law, diff, chart in symbolic_laws:
-        rep = check_zero_all(diff, policy, coords=chart.coords, label=f"{name}:{law}")
+    for law, chart, lhs, rhs in (
+        ("source-of-unit", gm.base, _at(gm.source, _at(gm.unit, x)), x),
+        ("target-of-unit", gm.base, _at(gm.target, _at(gm.unit, x)), x),
+        ("source-of-product", gm.pair_chart, _at(gm.source, gh), _at(gm.source, right)),
+        ("target-of-product", gm.pair_chart, _at(gm.target, gh), _at(gm.target, left)),
+        ("source-of-inverse", gm.total, _at(gm.source, inv_g), _at(gm.target, g)),
+        ("target-of-inverse", gm.total, _at(gm.target, inv_g), _at(gm.source, g)),
+        ("inversion-involutive", gm.total, _at(gm.inversion, inv_g), g),
+    ):
+        rep = check_zero_all(
+            _differences(lhs, rhs), policy, coords=chart.coords, label=f"{name}:{law}"
+        )
         f.zero(rep, f"{law} fails", law=law)
 
-    # pointwise laws that need the composable-pair parametrization inverted
-    rng = policy.rng(f"{name}:solves")
-    n_pts = min(policy.count, 20)
-    g_points = policy.float_points(gm.total.coords, f"{name}:gpoints", n_pts)
-    try:
-        for g in g_points:
-            unit_t = gm.unit.evaluate(gm.target.evaluate(g))
-            unit_s = gm.unit.evaluate(gm.source.evaluate(g))
-            inv_g = gm.inversion.evaluate(g)
-            # (law, pair to compose, expected product); the compositions draw
-            # from rng in this order
-            for law, left, right in (
-                ("left unit", (unit_t, g), g),
-                ("right unit", (g, unit_s), g),
-                ("right inverse", (g, inv_g), unit_t),
-                ("left inverse", (inv_g, g), unit_s),
-            ):
-                r = _close(_compose_points(gm, *left, rng), right)
-                f.residual(r, LAW_RTOL, f"{law} law fails", {"law": law.replace(" ", "-"), "point": g})
+    def compose(a, b) -> tuple[list[Expr], tuple[Expr, ...]]:
+        """What vanishes when the read-off p of (a, b) represents it, and the product m(p)."""
+        p = gm.read_off(a, b)
+        located = _differences(_at(gm.pair_left, p) + _at(gm.pair_right, p), a + b)
+        return located, _at(gm.multiplication, p)
 
-        for w in policy.float_points(gm.pair_chart.coords, f"{name}:wpoints", n_pts):
-            g = gm.pair_left.evaluate(w)
-            h = gm.pair_right.evaluate(w)
-            gh = gm.multiplication.evaluate(w)
-            k = sample_fiber(gm.target, gm.source.evaluate(h), rng, policy.box, 1)[0]
-            hk = _compose_points(gm, h, k, rng)
-            left = _compose_points(gm, gh, k, rng)
-            right = _compose_points(gm, g, hk, rng)
-            f.residual(
-                _close(left, right),
-                LAW_RTOL,
-                "associativity fails",
-                {"law": "associativity", "g": g, "h": h, "k": k, "left": left, "right": right},
-            )
-    except SolveError as exc:
-        return error_result(name, f"could not invert the pair parametrization: {exc}")
-    return f.result(mode="sampled")
+    # associativity lives on the pair chart plus fresh copies of the coordinates
+    # read off pair_right only: with h = right they give the pair (h, k)
+    triple, w2 = list(gm.pair_chart.coords), []
+    for c, (side, i) in zip(gm.pair_chart.coords, gm.readoff):
+        if side == 1:
+            while c in triple:
+                c += "'"
+            triple.append(c)
+        w2.append(coord(c) if side == 1 else right[i])
+    k, hk = _at(gm.pair_right, w2), _at(gm.multiplication, w2)
+    (located_left, ghk), (located_right, g_hk) = compose(gh, k), compose(left, hk)
+    located_triple = _differences(_at(gm.pair_left, w2), right) + located_left + located_right
+
+    for law, coords, (located, product), expected in (
+        ("left-unit", gm.total.coords, compose(unit_t, g), g),
+        ("right-unit", gm.total.coords, compose(g, unit_s), g),
+        ("right-inverse", gm.total.coords, compose(g, inv_g), unit_t),
+        ("left-inverse", gm.total.coords, compose(inv_g, g), unit_s),
+        ("associativity", tuple(triple), (located_triple, ghk), g_hk),
+    ):
+        rep = check_zero_all(located, policy, coords=coords, label=f"{name}:{law}:read-off")
+        if not rep.is_zero:
+            witness = {"law": law, "point": rep.witness_point, "value": rep.witness_value}
+            return error_result(name, "could not invert the pair parametrization", witness=witness)
+        f.zero(rep)
+        rep = check_zero_all(
+            _differences(product, expected), policy, coords=coords, label=f"{name}:{law}"
+        )
+        f.zero(rep, f"{law.replace('-', ' ')} law fails", law=law)
+    return f.result()
 
 
 def check_multiplicative_function(
@@ -597,50 +560,45 @@ def extract_LM(
     ranks: dict[int, dict] = {}
 
     base_points = policy.float_points(gm.base.coords, f"{name}:base", min(policy.count, 20))
-    try:
-        for y in base_points:
-            collected: list[np.ndarray] = []
-            for g in sample_fiber(gm.target, y, rng, policy.box, fiber_samples):
-                W = deta.matrix_at(g)  # W[i, j] = d eta(e_i, e_j)
-                eta_vec = pd.eta.covector_at(g)
-                Jb = gm.target.jacobian_at(g)
-                rows = np.zeros((N + 1, N + n + 2))
-                # rows j: sum_m Jb[m, j] xi_m - sum_i W[i, j] X_i - eta_j F = 0
-                rows[:N, :N] = -W.T
-                rows[:N, N] = -eta_vec
-                rows[:N, N + 1 : N + 1 + n] = Jb.T
-                # row N: G + eta(X) = 0
-                rows[N, :N] = eta_vec
-                rows[N, N + 1 + n] = 1.0
-                sols = null_space(rows, DEFAULT_RTOL)
-                push = np.zeros((2 * n + 2, N + n + 2))
-                push[:n, :N] = Jb
-                push[n, N] = 1.0
-                push[n + 1 : 2 * n + 1, N + 1 : N + 1 + n] = np.eye(n)
-                push[2 * n + 1, N + 1 + n] = 1.0
-                collected.append(push @ sols)
-            stacked = np.hstack(collected)
-            basis = orthonormal_columns(stacked, DEFAULT_RTOL)
-            r = basis.shape[1]
-            fibers.append((y, basis))
-            ranks.setdefault(r, y)
-            if r > n + 1:
-                f.fail(
-                    f"fiber span has rank {r} > {n + 1}: the fiber points are inconsistent "
-                    "(this usually signals non-multiplicative data upstream)",
-                    {"base_point": y, "rank": r},
-                )
-            if expected is not None and not spans_equal(
-                basis, expected.fiber_matrix_at(y), DEFAULT_RTOL
-            ):
-                f.fail(
-                    "extracted fiber differs from the expected structure",
-                    {"base_point": y, "rank": r, "expected_rank": expected.rank},
-                )
-    except SolveError as exc:
-        return ExtractionResult(
-            error_result(name, f"target-fiber sampling failed: {exc}"), tuple(fibers)
-        )
+    for y in base_points:
+        collected: list[np.ndarray] = []
+        for g in sample_fiber(gm.target, y, rng, policy.box, fiber_samples):
+            W = deta.matrix_at(g)  # W[i, j] = d eta(e_i, e_j)
+            eta_vec = pd.eta.covector_at(g)
+            Jb = gm.target.jacobian_at(g)
+            rows = np.zeros((N + 1, N + n + 2))
+            # rows j: sum_m Jb[m, j] xi_m - sum_i W[i, j] X_i - eta_j F = 0
+            rows[:N, :N] = -W.T
+            rows[:N, N] = -eta_vec
+            rows[:N, N + 1 : N + 1 + n] = Jb.T
+            # row N: G + eta(X) = 0
+            rows[N, :N] = eta_vec
+            rows[N, N + 1 + n] = 1.0
+            sols = null_space(rows, DEFAULT_RTOL)
+            push = np.zeros((2 * n + 2, N + n + 2))
+            push[:n, :N] = Jb
+            push[n, N] = 1.0
+            push[n + 1 : 2 * n + 1, N + 1 : N + 1 + n] = np.eye(n)
+            push[2 * n + 1, N + 1 + n] = 1.0
+            collected.append(push @ sols)
+        stacked = np.hstack(collected)
+        basis = orthonormal_columns(stacked, DEFAULT_RTOL)
+        r = basis.shape[1]
+        fibers.append((y, basis))
+        ranks.setdefault(r, y)
+        if r > n + 1:
+            f.fail(
+                f"fiber span has rank {r} > {n + 1}: the fiber points are inconsistent "
+                "(this usually signals non-multiplicative data upstream)",
+                {"base_point": y, "rank": r},
+            )
+        if expected is not None and not spans_equal(
+            basis, expected.fiber_matrix_at(y), DEFAULT_RTOL
+        ):
+            f.fail(
+                "extracted fiber differs from the expected structure",
+                {"base_point": y, "rank": r, "expected_rank": expected.rank},
+            )
 
     if len(ranks) > 1:
         f.fail(

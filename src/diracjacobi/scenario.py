@@ -407,14 +407,10 @@ GROUPOIDS: dict[str, Kind] = {
 }
 
 
-def _zero_witness(rep) -> dict | None:
-    return None if rep.is_zero else {"point": rep.witness_point, "value": rep.witness_value}
-
-
 def _expr_zero(policy, name, chart, expr):
-    rep = check_zero_all([expr], policy, coords=chart.coords, label=name)
-    mode = "symbolic" if rep.verdict.value == "ZERO" else "sampled"
-    return passfail(name, rep.is_zero, mode=mode, witness=_zero_witness(rep))
+    f = Findings(name)
+    f.zero(check_zero_all([expr], policy, coords=chart.coords, label=name))
+    return f.result()
 
 
 def _conformal_roundtrip(policy, name, structure, factor):
@@ -492,8 +488,10 @@ def _eta_omega_roundtrip(policy, name, data, fiber, time):
         coords=gm.total.coords,
         label=f"{name}:roundtrip",
     )
-    details = () if rep.is_zero else ("round-trip does not return the original data",)
-    return passfail(name, rep.is_zero, mode="sampled", details=details, witness=_zero_witness(rep))
+    f = Findings(name)
+    f.zero(rep, "round-trip does not return the original data")
+    # the presymplectic half samples float kernels at units
+    return f.result(mode="sampled")
 
 
 def _omega_descends(policy, name, omega, fiber, sigma):
@@ -584,6 +582,12 @@ CHECKS: dict[str, Kind] = {
 # --------------------------------------------------------------------------
 # loading
 # --------------------------------------------------------------------------
+
+# the keys a scenario document may have: its name, the policy fields and the sections
+TOP_LEVEL_KEYS = (
+    "name", "seed", "samples", "tol", "box", "charts", "expressions", "fields", "forms",
+    "multivectors", "maps", "structures", "groupoids", "precontact", "checks",
+)
 
 # the declared arguments of each entry of the sections that are not kind families
 _SECTION_ARGS = {
@@ -856,6 +860,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(["the scenario document must be a mapping"])
 
     builder = _Builder(doc)
+    for key in doc:
+        if key not in TOP_LEVEL_KEYS:
+            builder.fail(f"unknown top-level key '{key}'")
     policy = builder.policy()
     # groupoids come right after charts so that their derived charts
     # (<name>.total, <name>.base, <name>.pairs) are referencable everywhere

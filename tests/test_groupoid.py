@@ -1,5 +1,7 @@
 """Groupoid models: axioms, precontact/presymplectic data, extraction."""
 
+from fractions import Fraction
+
 import pytest
 
 from diracjacobi.chart_tensor import (
@@ -12,6 +14,7 @@ from diracjacobi.chart_tensor import (
     pullback,
     wedge,
 )
+from diracjacobi.cli import fixture_names, resolve_scenario_path
 from diracjacobi.groupoid import (
     GroupoidModel,
     GroupoidModelError,
@@ -35,6 +38,7 @@ from diracjacobi.groupoid import (
     sample_fiber,
 )
 from diracjacobi.report import CheckVerdict
+from diracjacobi.scenario import load_scenario, run_scenario
 from diracjacobi.structures import (
     ConformalFactor,
     conformal_change,
@@ -126,6 +130,51 @@ class TestGroupoidAxioms:
         assert max(abs(right[k] - h[k]) for k in h) < 1e-9
         for q in sample_fiber(line_model.target, {"x": 0.25}, rng, policy.box, 3):
             assert abs(line_model.target.evaluate(q)["x"] - 0.25) < 1e-9
+
+    def test_fiber_points_are_distinct(self, line_model, policy):
+        rng = policy.rng("fiber-test")
+        points = sample_fiber(line_model.target, {"x": 0.25}, rng, policy.box, 5)
+        assert all(q["x1"] == 0.25 for q in points)
+        assert len({tuple(q.values()) for q in points}) == 5
+
+    def test_fiber_of_a_non_projection_is_a_model_error(self, line_model, policy):
+        with pytest.raises(GroupoidModelError):
+            sample_fiber(line_model.multiplication, {"x1": 0.0, "x2": 0.0, "t": 0.0},
+                         policy.rng("fiber-test"), policy.box, 1)
+
+    def test_locate_pair_inverts_the_action_groupoid_exactly(self, line_model, policy):
+        action = build_action_groupoid(line_model, coord("t"), policy)
+        g = {"x1": 0.5, "x2": -0.25, "t": 1.5, "u": 0.75}
+        h = {"x1": -0.25, "x2": 1.0, "t": -0.5, "u": 2.25}  # target(h) = (x2, t + u) of g
+        w = locate_pair(action, g, h, None)
+        assert action.pair_left.evaluate(w) == g
+        assert action.pair_right.evaluate(w) == h
+
+
+class TestShippedGroupoidAxioms:
+    @staticmethod
+    def results():
+        out = {}
+        for fixture in fixture_names():
+            scenario = load_scenario(resolve_scenario_path(fixture))
+            names = [c.name for c in scenario.checks if c.kind == "groupoid-axioms"]
+            if names:
+                for o in run_scenario(scenario, only=names).outcomes:
+                    out[fixture, o.spec.name] = o.result
+        return out
+
+    def test_passing_laws_are_exact(self):
+        results = self.results()
+        passing = [r for r in results.values() if r.passed]
+        assert len(passing) == 6
+        assert all(r.mode == "symbolic" for r in passing)
+
+    def test_broken_control_fails_at_a_rational_witness(self):
+        r = self.results()["negative_controls", "broken-multiplication"]
+        assert r.verdict is CheckVerdict.FAIL
+        assert r.witness["law"] in ("left-unit", "right-unit", "right-inverse", "left-inverse")
+        assert all(isinstance(v, Fraction) for v in r.witness["point"].values())
+        assert r.witness["value"] != 0
 
 
 class TestMultiplicativeFunction:

@@ -14,6 +14,7 @@ from diracjacobi.scenario import (
     CHECKS,
     GROUPOIDS,
     STRUCTURES,
+    TOP_LEVEL_KEYS,
     ScenarioError,
     load_scenario,
     run_scenario,
@@ -162,12 +163,21 @@ ONE_CHECK = "checks: [{check: involutivity, structure: L0}]\n"
         ("groupoids: {G: {kind: pair-line, base: M}}\n"
          "precontact: {D: {groupoid: G, theta: theta, tim: t}}\n" + ONE_CHECK,
          "precontact 'D': unknown argument 'tim'"),
+        ("sampels: 1\n" + ONE_CHECK, "unknown top-level key 'sampels'"),
+        ("chart: {N: [z]}\n" + ONE_CHECK, "unknown top-level key 'chart'"),
+        ("groupoids:\n  G: {kind: pair, base: M}\n"
+         "  E: {kind: explicit, total: G.total, base: M, pairs: G.pairs, source: [x2, y2],\n"
+         "      target: [x1, y1], unit: [x, y, x, y], inversion: [x2, y2, x1, y1],\n"
+         "      pair_left: [x1, y1, x2, y2], pair_right: [x2, y2, '2*x3', y3],\n"
+         "      multiplication: [x1, y1, x3, y3]}\n" + ONE_CHECK,
+         "groupoid 'E': pair coordinates ['x3'] are no plain component"),
     ],
     ids=["box-not-numbers", "tol-not-a-number", "box-empty", "cochain-index-not-integers",
          "cochain-index-three-slots", "cochain-index-out-of-range", "cocycle-values-not-a-list",
          "expression-does-not-parse", "flag-not-boolean", "unknown-argument", "degree-not-integer",
          "coeffs-misspelt", "expression-key-misspelt", "field-key-misspelt",
-         "precontact-key-misspelt"],
+         "precontact-key-misspelt", "top-level-key-misspelt", "top-level-section-misspelt",
+         "pair-coordinate-not-read-off"],
 )
 def test_malformed_values_exit_2_at_load(tmp_path, capsys, extra, problem):
     p = tmp_path / "malformed.scn"
@@ -195,6 +205,12 @@ def test_box_narrower_than_the_rational_grid(tmp_path, capsys):
     assert "expr-zero#1: FAIL" in out and "Traceback" not in err
     (outcome,) = run_scenario(load_scenario(p)).outcomes
     assert all(0.001 <= v <= 0.002 for v in outcome.result.witness["point"].values())
+
+
+def test_nonzero_expression_reports_its_residual(tiny):
+    bad = run_scenario(load_scenario(tiny), only=["bad"]).outcomes[0].result
+    assert bad.verdict is CheckVerdict.FAIL
+    assert bad.residual_max == abs(bad.witness["value"]) > 0
 
 
 class TestNonFiniteSamples:
@@ -227,6 +243,12 @@ def test_readme_lists_every_registered_kind():
                             ("Check kinds", CHECKS)):
         listed = re.search(label + r":(.*?)\.\s", readme, re.S).group(1)
         assert re.findall(r"`([^`]+)`", listed) == list(registry), label
+
+
+def test_readme_lists_every_top_level_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Top-level keys:(.*?)\.\s", readme, re.S).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == TOP_LEVEL_KEYS
 
 
 class TestRunner:
