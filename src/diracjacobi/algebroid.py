@@ -4,10 +4,10 @@ The anchor is the projection to the vector-field slot and the bracket is the
 restriction of the (extended) Courant bracket.  On top of that live:
 
 * the tautological 1-cocycle reading the f-slot of E1 sections;
-* the cocycle and closed-2-cochain residual checks (Chevalley-Eilenberg in
-  degrees 1 and 2, with frame-expansion coefficients obtained by least
-  squares at sample points -- expansion residual and identity residual are
-  reported separately);
+* the cocycle and closed-2-cochain checks (Chevalley-Eilenberg in degrees 1
+  and 2): each generator bracket is expanded exactly in the frame, its
+  leftover rows are zero-tested (a bracket outside the span is an ERROR),
+  and each identity is one zero test of the resulting expression;
 * the central-extension bracket of a Dirac frame by a 2-cochain;
 * the action-algebroid bracket and anchor on M x R twisted by a 1-cocycle,
   with TimeSections given by t-dependent frame coefficients;
@@ -28,40 +28,30 @@ from .chart_tensor import (
     VectorField,
     coordinate_field,
 )
-from .courant import SectionE1, SectionTM, courant_bracket, extended_courant_bracket
-from .linalg import least_squares_coefficients
+from .courant import SectionE1, SectionTM, courant_bracket
 from .report import CheckResult, Findings, error_result
 from .structures import (
     Ambient,
+    FrameExpansionError,
     FrameSubbundle,
-    MEMBERSHIP_RTOL,
     Section,
     check_involutivity,
     check_maximal_isotropy,
     induced_dirac_on_MxR,
 )
 from .symcalc import (
-    Constant,
     Exp,
     Expr,
     ZERO,
     ONE,
-    Quotient,
     SamplingPolicy,
     as_expr,
     check_zero_all,
     coord,
     differentiate,
-    evaluate,
     is_structurally_zero,
     normalize,
 )
-
-COCYCLE_RTOL = 1e-7
-
-
-class FrameExpansionError(ChartError):
-    """A section could not be expanded symbolically in the frame."""
 
 
 @dataclass(frozen=True)
@@ -85,25 +75,17 @@ class AlgebroidOnL:
     """Anchor and restricted bracket of a verified structure frame.
 
     Structure functions (the frame expansions of generator brackets) are
-    computed symbolically on demand by Gaussian elimination over the
-    expression field, preferring constant pivots; every shipped construction
-    carries an identity sub-block, so no spurious quotients appear.
+    computed symbolically on demand by FrameSubbundle.expand; every shipped
+    construction carries an identity sub-block, so no spurious quotients
+    appear.
     """
 
     def __init__(self, L: FrameSubbundle):
         self.L = L
         self._structure: dict[tuple[int, int], tuple[Expr, ...]] = {}
 
-    def anchor(self, s: Section) -> VectorField:
-        return s.X
-
     def anchor_of(self, i: int) -> VectorField:
         return self.L.generators[i].X
-
-    def bracket(self, a: Section, b: Section) -> Section:
-        if self.L.ambient is Ambient.TM_TSTAR:
-            return courant_bracket(a, b)
-        return extended_courant_bracket(a, b)
 
     def bracket_pair(self, i: int, j: int) -> Section:
         return self.L.bracket(i, j)
@@ -111,88 +93,52 @@ class AlgebroidOnL:
     def structure_coefficients(self, i: int, j: int) -> tuple[Expr, ...]:
         """Expansion of bracket(e_i, e_j) in the frame (antisymmetric in i, j
         for the skew E1 bracket)."""
-        if (i, j) in self._structure:
-            return self._structure[(i, j)]
-        value = self.bracket(self.L.generators[i], self.L.generators[j])
-        coeffs = frame_expand_symbolic(self.L, value)
-        self._structure[(i, j)] = coeffs
-        return coeffs
-
-
-def _section_rows(s: Section) -> list[Expr]:
-    chart = s.chart
-    if isinstance(s, SectionTM):
-        rows = list(s.X.components)
-        rows += [s.xi.coefficient((i,)) for i in range(chart.dim)]
-        return rows
-    rows = list(s.X.components)
-    rows.append(s.f)
-    rows += [s.xi.coefficient((i,)) for i in range(chart.dim)]
-    rows.append(s.g)
-    return rows
+        if (i, j) not in self._structure:
+            self._structure[(i, j)] = frame_expand_symbolic(self.L, self.bracket_pair(i, j))
+        return self._structure[(i, j)]
 
 
 def frame_expand_symbolic(L: FrameSubbundle, s: Section) -> tuple[Expr, ...]:
-    """Solve sum_k c_k e_k = s for expressions c_k by Gaussian elimination.
-
-    Prefers pivots that are nonzero constants; a non-constant pivot is only
-    used when no constant one exists (generic-position assumption, recorded
-    in the elimination order).  Raises FrameExpansionError when no pivot is
-    available or a leftover row is not structurally zero.
-    """
-    k = len(L.generators)
-    rows = []
-    cols = [_section_rows(g) for g in L.generators]
-    rhs = _section_rows(s)
-    for r in range(len(rhs)):
-        rows.append([cols[j][r] for j in range(k)] + [rhs[r]])
-
-    solved: list[int | None] = [None] * k
-    used_rows: set[int] = set()
-    for col in range(k):
-        pivot_row = None
-        for prefer_const in (True, False):
-            for r, row in enumerate(rows):
-                if r in used_rows:
-                    continue
-                entry = row[col]
-                if is_structurally_zero(entry):
-                    continue
-                if prefer_const and not isinstance(entry, Constant):
-                    continue
-                pivot_row = r
-                break
-            if pivot_row is not None:
-                break
-        if pivot_row is None:
-            raise FrameExpansionError(f"no usable pivot for generator {col}")
-        used_rows.add(pivot_row)
-        solved[col] = pivot_row
-        pivot = rows[pivot_row][col]
-        rows[pivot_row] = [normalize(Quotient(v, pivot)) for v in rows[pivot_row]]
-        for r, row in enumerate(rows):
-            if r == pivot_row:
-                continue
-            factor = row[col]
-            if is_structurally_zero(factor):
-                continue
-            rows[r] = [v - factor * p for v, p in zip(row, rows[pivot_row])]
-
-    for r, row in enumerate(rows):
-        if r in used_rows:
-            continue
-        if not is_structurally_zero(row[k]):
-            raise FrameExpansionError("section does not lie in the frame span")
-
-    coeffs = [ZERO] * k
-    for col in range(k):
-        coeffs[col] = rows[solved[col]][k]
-    return tuple(coeffs)
+    """Frame coefficients of s, which must leave structurally zero rows over."""
+    coefficients, leftover, _ = L.expand(s)
+    if not all(is_structurally_zero(v) for v in leftover):
+        raise FrameExpansionError("section does not lie in the frame span")
+    return coefficients
 
 
 # --------------------------------------------------------------------------
-# cochain residual checks
+# cochain checks
 # --------------------------------------------------------------------------
+
+
+def _expand_brackets(
+    A: AlgebroidOnL, f: Findings, policy: SamplingPolicy
+) -> dict[tuple[int, int], tuple[Expr, ...]] | CheckResult:
+    """Frame coefficients of every generator bracket [e_i, e_j], i < j, with
+    the leftover rows zero-tested into ``f``; a bracket outside the span is an
+    ERROR result (an unusable frame), distinct from FAIL."""
+    L = A.L
+    table = {}
+    for i in range(len(L.generators)):
+        for j in range(i + 1, len(L.generators)):
+            coefficients, leftover, _ = L.expand(A.bracket_pair(i, j))
+            rep = check_zero_all(
+                leftover, policy, coords=L.chart.coords, label=f"{f.name}:span:{i},{j}"
+            )
+            if not rep.is_zero:
+                return error_result(
+                    f.name,
+                    f"bracket of generators ({i}, {j}) leaves the frame span",
+                    witness={"pair": [i, j], "point": rep.witness_point},
+                )
+            f.zero(rep)
+            table[(i, j)] = coefficients
+    return table
+
+
+def _combine(coefficients: tuple[Expr, ...], values) -> Expr:
+    """sum_m c_m values_m."""
+    return sum((c * v for c, v in zip(coefficients, values)), start=ZERO)
 
 
 def check_cocycle(
@@ -201,44 +147,24 @@ def check_cocycle(
     policy: SamplingPolicy,
     name: str = "cocycle",
 ) -> CheckResult:
-    """rho(a) phi(b) - rho(b) phi(a) - phi([a, b]) vanishes on generator pairs.
-
-    phi([a, b]) is evaluated by expanding the bracket in the frame by least
-    squares at each sampled point; an expansion residual beyond tolerance
-    yields ERROR (an unusable frame), distinct from FAIL.
-    """
+    """rho(e_i) phi_j - rho(e_j) phi_i - sum_m c^m_ij phi_m vanishes on generator
+    pairs, with c^m_ij the frame expansion of [e_i, e_j]."""
     L = A.L
     if len(phi.values) != len(L.generators):
         return error_result(name, "cocycle has the wrong number of values")
-    points = policy.float_points(L.chart.coords, f"{name}:points")
     f = Findings(name)
-    for i in range(len(L.generators)):
-        for j in range(i + 1, len(L.generators)):
-            value = A.bracket_pair(i, j)
-            lhs = A.anchor_of(i).apply(phi.values[j]) - A.anchor_of(j).apply(phi.values[i])
-            for p in points:
-                B = L.fiber_matrix_at(p)
-                coeffs, resid = least_squares_coefficients(B, value.at(p))
-                if resid > MEMBERSHIP_RTOL:
-                    return error_result(
-                        name,
-                        f"frame-expansion residual {resid:.3e} invalidates the test "
-                        f"for generators ({i}, {j})",
-                        witness={"pair": [i, j], "point": p, "residual": resid},
-                    )
-                phi_of_bracket = sum(
-                    c * float(evaluate(v, p)) for c, v in zip(coeffs, phi.values)
-                )
-                lhs_val = float(evaluate(lhs, p))
-                delta = abs(lhs_val - phi_of_bracket)
-                scale = 1.0 + abs(lhs_val) + abs(phi_of_bracket)
-                f.residual(delta / scale)
-                if delta > COCYCLE_RTOL * scale:
-                    f.fail(
-                        f"cocycle identity fails on generators ({i}, {j})",
-                        {"pair": [i, j], "point": p, "delta": delta},
-                    )
-    return f.result(mode="sampled")
+    structure = _expand_brackets(A, f, policy)
+    if isinstance(structure, CheckResult):
+        return structure
+    for (i, j), coefficients in structure.items():
+        identity = (
+            A.anchor_of(i).apply(phi.values[j])
+            - A.anchor_of(j).apply(phi.values[i])
+            - _combine(coefficients, phi.values)
+        )
+        rep = check_zero_all([identity], policy, coords=L.chart.coords, label=f"{name}:{i},{j}")
+        f.zero(rep, f"cocycle identity fails on generators ({i}, {j})", pair=[i, j])
+    return f.result()
 
 
 @dataclass(frozen=True)
@@ -304,7 +230,7 @@ def algebroid_differential_2(
     policy: SamplingPolicy,
     name: str = "closed-2-cochain",
 ) -> CheckResult:
-    """Chevalley-Eilenberg differential on generator triples samples to zero.
+    """Chevalley-Eilenberg differential vanishes on generator triples.
 
     d Omega(a,b,c) = rho(a) Omega(b,c) - rho(b) Omega(a,c) + rho(c) Omega(a,b)
                      - Omega([a,b], c) + Omega([a,c], b) - Omega([b,c], a).
@@ -313,53 +239,27 @@ def algebroid_differential_2(
     k = len(L.generators)
     if Omega.size != k:
         return error_result(name, "2-cochain size differs from the frame size")
-    points = policy.float_points(L.chart.coords, f"{name}:points")
     f = Findings(name)
-    brackets: dict[tuple[int, int], Section] = {}
-
-    def bracket_of(i: int, j: int) -> Section:
-        if (i, j) not in brackets:
-            brackets[(i, j)] = A.bracket_pair(i, j)
-        return brackets[(i, j)]
-
+    structure = _expand_brackets(A, f, policy)
+    if isinstance(structure, CheckResult):
+        return structure
+    column = [[Omega.value(m, c) for m in range(k)] for c in range(k)]  # column[c][m] = Omega(m, c)
     for i in range(k):
         for j in range(i + 1, k):
             for l in range(j + 1, k):
-                sym = (
+                d_omega = (
                     A.anchor_of(i).apply(Omega.value(j, l))
                     - A.anchor_of(j).apply(Omega.value(i, l))
                     + A.anchor_of(l).apply(Omega.value(i, j))
+                    - _combine(structure[(i, j)], column[l])
+                    + _combine(structure[(i, l)], column[j])
+                    - _combine(structure[(j, l)], column[i])
                 )
-                for p in points:
-                    B = L.fiber_matrix_at(p)
-                    total = float(evaluate(sym, p))
-                    scale = 1.0 + abs(total)
-                    usable = True
-                    for (a, b, c, sign) in ((i, j, l, -1.0), (i, l, j, +1.0), (j, l, i, -1.0)):
-                        coeffs, resid = least_squares_coefficients(
-                            B, bracket_of(a, b).at(p)
-                        )
-                        if resid > MEMBERSHIP_RTOL:
-                            return error_result(
-                                name,
-                                f"frame-expansion residual {resid:.3e} invalidates the "
-                                f"test for generators ({a}, {b})",
-                                witness={"pair": [a, b], "point": p, "residual": resid},
-                            )
-                        term = sum(
-                            cm * float(evaluate(Omega.value(m, c), p))
-                            for m, cm in enumerate(coeffs)
-                        )
-                        total += sign * term
-                        scale += abs(term)
-                    delta = abs(total)
-                    f.residual(delta / scale)
-                    if delta > COCYCLE_RTOL * scale:
-                        f.fail(
-                            f"d Omega is nonzero on generators ({i}, {j}, {l})",
-                            {"triple": [i, j, l], "point": p, "delta": delta},
-                        )
-    return f.result(mode="sampled")
+                rep = check_zero_all(
+                    [d_omega], policy, coords=L.chart.coords, label=f"{name}:{i},{j},{l}"
+                )
+                f.zero(rep, f"d Omega is nonzero on generators ({i}, {j}, {l})", triple=[i, j, l])
+    return f.result()
 
 
 # --------------------------------------------------------------------------

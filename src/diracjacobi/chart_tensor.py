@@ -223,16 +223,6 @@ class _AlternatingTable:
     def from_scalar(cls, chart: Chart, e: Expr):
         return cls(chart, 0, {(): e})
 
-    @classmethod
-    def from_names(cls, chart: Chart, degree: int, coeffs: Mapping[Sequence[str], Expr | int]):
-        table = {}
-        for names, e in coeffs.items():
-            if isinstance(names, str):
-                names = tuple(n for n in names.replace(" ", "").split(",") if n)
-            idx = tuple(chart.index(n) for n in names)
-            table[idx] = table.get(idx, ZERO) + as_expr(e) if idx in table else as_expr(e)
-        return cls(chart, degree, table)
-
     # -- queries ---------------------------------------------------------
 
     def coefficient(self, idx: Sequence[int]) -> Expr:
@@ -497,11 +487,6 @@ class SmoothMap:
         return {
             name: float(evaluate(c, point)) for name, c in zip(self.target.coords, self.components)
         }
-
-    def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
-        return tuple(
-            tuple(differentiate(c, name) for name in self.source.coords) for c in self.components
-        )
 
     def jacobian_at(self, point: Mapping[str, float]) -> np.ndarray:
         J = np.zeros((self.target.dim, self.source.dim))

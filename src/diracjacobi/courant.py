@@ -74,13 +74,13 @@ class SectionTM:
     def __neg__(self) -> "SectionTM":
         return self.scale(-1)
 
-    def flip_form(self) -> "SectionTM":
-        """Negate the form part (used by anti-Dirac comparisons)."""
-        return SectionTM(self.X, -self.xi)
+    def rows(self) -> list[Expr]:
+        """Fiber components (X components, xi components), 2n of them."""
+        return [*self.X.components, *(self.xi.coefficient((i,)) for i in range(self.chart.dim))]
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
-        """Fiber vector (X components, xi components) in R^{2n}."""
-        return np.concatenate([self.X.at(point), self.xi.covector_at(point)])
+        """The fiber vector of rows() in R^{2n}."""
+        return np.array([float(evaluate(r, point)) for r in self.rows()])
 
     def is_structurally_zero(self) -> bool:
         return self.X.is_zero_field and self.xi.is_zero_table
@@ -125,20 +125,14 @@ class SectionE1:
     def __neg__(self) -> "SectionE1":
         return self.scale(-1)
 
-    def flip_form(self) -> "SectionE1":
-        """Negate the (xi, g) half (used by anti-Dirac comparisons)."""
-        return SectionE1(self.X, self.f, -self.xi, normalize(as_expr(-1) * self.g))
+    def rows(self) -> list[Expr]:
+        """Fiber components (X, f, xi, g), 2n + 2 of them."""
+        xi = [self.xi.coefficient((i,)) for i in range(self.chart.dim)]
+        return [*self.X.components, self.f, *xi, self.g]
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
-        """Fiber vector (X, f, xi, g) in R^{2n+2}."""
-        return np.concatenate(
-            [
-                self.X.at(point),
-                [float(evaluate(self.f, point))],
-                self.xi.covector_at(point),
-                [float(evaluate(self.g, point))],
-            ]
-        )
+        """The fiber vector of rows() in R^{2n+2}."""
+        return np.array([float(evaluate(r, point)) for r in self.rows()])
 
     def is_structurally_zero(self) -> bool:
         return (

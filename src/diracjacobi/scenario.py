@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -476,10 +476,7 @@ def _eta_omega_roundtrip(policy, name, data, fiber, time):
     ps = eta_to_omega(pd, fiber=fiber)
     sym = check_presymplectic(action, ps, policy, name=f"{name}:presymplectic")
     if not sym.passed:
-        return CheckResult(
-            name, sym.verdict, sym.mode, sym.residual_max, sym.residual_mean,
-            ("presymplectic side fails",) + sym.details, sym.witness,
-        )
+        return replace(sym, name=name, details=("presymplectic side fails",) + sym.details)
     back = omega_to_eta(ps, pd.sigma, policy, fiber=fiber)
     diff = back.eta - pd.eta
     rep = check_zero_all(
@@ -505,9 +502,8 @@ def _equivalence_commutes(policy, name, data, factor, expected):
     pd2 = equivalence_transform(pd, factor, gm)
     pre = check_precontact(gm, pd2, policy, name=f"{name}:precontact")
     if not pre.passed:
-        return CheckResult(
-            name, pre.verdict, pre.mode, pre.residual_max, pre.residual_mean,
-            ("transformed data fails the precontact check",) + pre.details, pre.witness,
+        return replace(
+            pre, name=name, details=("transformed data fails the precontact check",) + pre.details
         )
     base = extract_LM(gm, pd, policy, name=f"{name}:base")
     if not base.result.passed:
@@ -994,10 +990,7 @@ def run_scenario(
         wall = (_time.perf_counter() - start) * 1e3
         # the library may return a result named differently; pin the scenario name
         if result.name != spec.name:
-            result = CheckResult(
-                spec.name, result.verdict, result.mode, result.residual_max,
-                result.residual_mean, result.details, result.witness,
-            )
+            result = replace(result, name=spec.name)
         outcomes.append(CheckOutcome(spec, result, wall))
     if only:
         missing = [n for n in only if all(o.spec.name != n for o in outcomes)]

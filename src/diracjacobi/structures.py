@@ -9,7 +9,10 @@ deterministic randomized sampling:
   generator span has full expected rank (n over TM + T*M, n+1 over E1) at
   every sampled point;
 * involutivity: the (extended) Courant bracket of every generator pair lies
-  in the generator span at every sampled point, by least-squares residual.
+  in the generator span.  FrameSubbundle.expand solves for the frame
+  coefficients of a section by exact Gaussian elimination; the rows it leaves
+  over vanish exactly when the section lies in the span, and they are
+  zero-tested like any other identity.
 
 The construction catalogue covers structures induced by a 1-form, by a
 bivector/vector-field pair, by lifting a Dirac structure into E1, graphs of
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -51,17 +54,18 @@ from .courant import (
 from .linalg import (
     DEFAULT_RTOL,
     matrix_rank,
-    membership_residual,
     null_space,
     orthonormal_columns,
     spans_equal,
 )
-from .report import CheckResult, Findings, ResidualStats, error_result, passfail
+from .report import CheckResult, Findings, error_result
 from .symcalc import (
+    Constant,
     Expr,
     Exp,
     ZERO,
     ONE,
+    Quotient,
     SamplingPolicy,
     as_expr,
     check_zero_all,
@@ -70,7 +74,9 @@ from .symcalc import (
     normalize,
 )
 
-MEMBERSHIP_RTOL = 1e-7  # least-squares residual bound, scaled by 1 + |value|
+
+class FrameExpansionError(ChartError):
+    """A section could not be expanded symbolically in the frame."""
 
 
 class Ambient(enum.Enum):
@@ -79,6 +85,14 @@ class Ambient(enum.Enum):
 
 
 Section = SectionTM | SectionE1
+
+
+class Expansion(NamedTuple):
+    """Frame coefficients of a section; it lies in the span iff every leftover row vanishes."""
+
+    coefficients: tuple[Expr, ...]
+    leftover: tuple[Expr, ...]
+    rank: int  # pivot count: the rank of the frame at a point in generic position
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,39 @@ class FrameSubbundle:
         if self.ambient is Ambient.TM_TSTAR:
             return courant_bracket(a, b)
         return extended_courant_bracket(a, b)
+
+    def expand(self, s: Section) -> Expansion:
+        """Solve sum_k c_k e_k = s for expressions c_k by Gauss-Jordan elimination.
+
+        A pivot is a nonzero constant when the column has one, else its first
+        structurally nonzero entry (generic-position assumption).  A column
+        with no structurally nonzero entry left depends on the earlier
+        generators: it gets coefficient 0 and no pivot.
+        """
+        k = len(self.generators)
+        rows = [list(r) for r in zip(*(g.rows() for g in self.generators), s.rows())]
+        pivots: dict[int, int] = {}  # column -> pivot row
+        for col in range(k):
+            free = [
+                r for r, row in enumerate(rows)
+                if r not in pivots.values() and not is_structurally_zero(row[col])
+            ]
+            if not free:
+                continue
+            constant = [r for r in free if isinstance(rows[r][col], Constant)]
+            pr = pivots[col] = (constant or free)[0]
+            rows[pr] = [normalize(Quotient(v, rows[pr][col])) for v in rows[pr]]
+            for r, row in enumerate(rows):
+                if r != pr and not is_structurally_zero(row[col]):
+                    rows[r] = [
+                        v if is_structurally_zero(p) else v - row[col] * p
+                        for v, p in zip(row, rows[pr])
+                    ]
+        return Expansion(
+            tuple(rows[pivots[c]][k] if c in pivots else ZERO for c in range(k)),
+            tuple(row[k] for r, row in enumerate(rows) if r not in pivots.values()),
+            len(pivots),
+        )
 
 
 @dataclass(frozen=True)
@@ -306,10 +353,6 @@ def induced_dirac_on_MxR(L: FrameSubbundle, time: str = "t") -> FrameSubbundle:
 # --------------------------------------------------------------------------
 
 
-def _sample_points(L: FrameSubbundle, policy: SamplingPolicy, label: str):
-    return policy.float_points(L.chart.coords, label)
-
-
 def check_maximal_isotropy(
     L: FrameSubbundle, policy: SamplingPolicy, name: str = "maximal-isotropy"
 ) -> CheckResult:
@@ -326,7 +369,7 @@ def check_maximal_isotropy(
             f.zero(rep, f"pairing of generators ({i}, {j}) is nonzero", pair=[i, j])
 
     deficient = []
-    for point in _sample_points(L, policy, f"{name}:rank"):
+    for point in policy.float_points(L.chart.coords, f"{name}:rank"):
         r = matrix_rank(L.fiber_matrix_at(point), DEFAULT_RTOL)
         if r != L.expected_rank:
             deficient.append((point, r))
@@ -342,42 +385,24 @@ def check_maximal_isotropy(
 def check_involutivity(
     L: FrameSubbundle, policy: SamplingPolicy, name: str = "involutivity"
 ) -> CheckResult:
-    """Every generator bracket stays in the generator span at sampled points."""
-    points = _sample_points(L, policy, f"{name}:points")
-    for point in points:
-        if matrix_rank(L.fiber_matrix_at(point), DEFAULT_RTOL) != L.expected_rank:
-            return error_result(
-                name,
-                f"frame is rank-deficient at a sampled point; involutivity needs a clean frame",
-                witness={"point": point},
-            )
-
-    stats = ResidualStats()
-    worst = (None, None, -1.0)  # (pair, point, residual)
-    ok = True
-    details: list[str] = []
+    """Every generator bracket lies in the generator span: the rows its frame
+    expansion leaves over are zero-tested."""
+    rank = L.expand(L.generators[0]).rank  # the pivots do not depend on the section
+    if rank != L.expected_rank:
+        return error_result(
+            name, f"frame is rank-deficient: rank {rank} instead of {L.expected_rank}"
+        )
+    f = Findings(name)
     for i in range(len(L.generators)):
         for j in range(i + 1, len(L.generators)):
             value = L.bracket(i, j)
             if value.is_structurally_zero():
                 continue
-            pair_ok = True
-            for point in points:
-                B = L.fiber_matrix_at(point)
-                v = value.at(point)
-                resid = membership_residual(B, v)
-                stats.add(resid)
-                if resid > worst[2]:
-                    worst = ((i, j), point, resid)
-                if resid > MEMBERSHIP_RTOL:
-                    pair_ok = False
-            if not pair_ok:
-                ok = False
-                details.append(f"bracket of generators ({i}, {j}) leaves the span")
-    witness = None
-    if worst[0] is not None:
-        witness = {"pair": list(worst[0]), "point": worst[1], "residual": worst[2]}
-    return passfail(name, ok, mode="sampled", stats=stats, details=tuple(details), witness=witness)
+            rep = check_zero_all(
+                L.expand(value).leftover, policy, coords=L.chart.coords, label=f"{name}:{i},{j}"
+            )
+            f.zero(rep, f"bracket of generators ({i}, {j}) leaves the span", pair=[i, j])
+    return f.result()
 
 
 def check_structures_equal(

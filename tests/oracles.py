@@ -171,3 +171,52 @@ def fd_courant_bracket(a, b, point: dict):
         [sum(X2[i] * (dxi1[j, i] - dxi1[i, j]) for i in range(n)) for j in range(n)]
     )
     return vec, lie - ix2dxi1
+
+
+def involutive_at_points(L, points, tol: float = 1e-7) -> bool:
+    """Every generator bracket lies in the frame span at every point.
+
+    Float pointwise membership: the scaled least-squares residual of the
+    bracket against the fiber matrix stays within ``tol``.  The brackets come
+    from the package; only the span decision is replaced.
+    """
+    from diracjacobi.linalg import membership_residual
+
+    k = len(L.generators)
+    for i in range(k):
+        for j in range(i + 1, k):
+            value = L.bracket(i, j)
+            for p in points:
+                if membership_residual(L.fiber_matrix_at(p), value.at(p)) > tol:
+                    return False
+    return True
+
+
+def cocycle_at_points(L, values, points, tol: float = 1e-7) -> bool:
+    """rho(e_i) phi_j - rho(e_j) phi_i = phi([e_i, e_j]) at every point.
+
+    The anchor derivatives are central finite differences and phi of the
+    bracket uses least-squares frame coefficients at the point; the identity
+    holds within ``tol`` scaled by 1 + the magnitudes of its two sides.
+    """
+    from diracjacobi.linalg import least_squares_coefficients
+
+    coords = L.chart.coords
+    k = len(L.generators)
+    fns = [expr_fn(v) for v in values]
+    brackets = {(i, j): L.bracket(i, j) for i in range(k) for j in range(i + 1, k)}
+    for p in points:
+        grads = [fd_gradient(fn, p, coords) for fn in fns]
+        phi = np.array([fn(p) for fn in fns])
+        B = L.fiber_matrix_at(p)
+        for i in range(k):
+            for j in range(i + 1, k):
+                Xi, Xj = L.generators[i].X.at(p), L.generators[j].X.at(p)
+                lhs = Xi @ grads[j] - Xj @ grads[i]
+                coeffs, resid = least_squares_coefficients(B, brackets[(i, j)].at(p))
+                if resid > tol:
+                    return False
+                rhs = float(coeffs @ phi)
+                if abs(lhs - rhs) > tol * (1.0 + abs(lhs) + abs(rhs)):
+                    return False
+    return True
