@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .symcalc import ZeroReport, ZeroVerdict
+from .symcalc import ZeroReport
 
 
 class CheckVerdict(enum.Enum):
@@ -132,7 +132,7 @@ class Findings:
     def zero(self, rep: ZeroReport, detail: str | None = None, **witness) -> None:
         """Record a zero test; a nonzero one fails, its point and value joining ``witness``."""
         self.stats.add(rep.max_abs)
-        if rep.verdict is not ZeroVerdict.ZERO:
+        if rep.mode != "symbolic":
             self.mode = "sampled"
         if not rep.is_zero:
             self.fail(detail, {**witness, "point": rep.witness_point, "value": rep.witness_value})

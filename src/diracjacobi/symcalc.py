@@ -3,9 +3,12 @@
 The expression language is deliberately small: exact rational constants,
 coordinates, sums, products, quotients, integer powers, and the elementary
 functions exp, ln, sin, cos.  Normalization is structural only (flatten,
-fold constants, collect identical monomials, merge exponentials); identity
-checking beyond that falls back to randomized point evaluation, which is
-exact on rational expressions when sampled at rational points.
+fold constants, collect identical monomials, merge exponentials).  Products
+of sums, positive powers of sums included, are multiplied out in full, one
+sum at a time, with equal monomials collected as they form; the monomials
+share their coefficient and power nodes.  Identity checking beyond that
+falls back to randomized point evaluation, which is exact on rational
+expressions when sampled at rational points.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import weakref
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +53,22 @@ class SamplingExhaustedError(ExprError):
 # --------------------------------------------------------------------------
 # expression nodes
 # --------------------------------------------------------------------------
+
+
+def _node(cls):
+    """A frozen dataclass node whose hash is computed once and kept on the node."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = fields_hash(self)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 @dataclass(frozen=True)
@@ -91,54 +111,54 @@ class Expr:
         return render(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Constant(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Coordinate(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Expr):
     terms: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Product(Expr):
     factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Quotient(Expr):
     numerator: Expr
     denominator: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class IntegerPower(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Ln(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Cos(Expr):
     arg: Expr
 
@@ -197,12 +217,11 @@ def free_coordinates(e: Expr) -> frozenset[str]:
 
 def _sort_key(e: Expr):
     """Deterministic total order on normalized nodes (rank, payload, children)."""
-    cached = e.__dict__.get("_key")
-    if cached is not None:
-        return cached
-    key = _sort_key_impl(e)
-    object.__setattr__(e, "_key", key)
-    return key
+    try:
+        return e._key
+    except AttributeError:
+        key = e.__dict__["_key"] = _sort_key_impl(e)
+        return key
 
 
 def _sort_key_impl(e: Expr):
@@ -229,6 +248,30 @@ def _sort_key_impl(e: Expr):
     raise TypeError(f"unknown node {e!r}")
 
 
+_UNIT = Fraction(1)
+
+# shared atoms: one live node per coefficient and per power, so the terms of
+# a multiplied-out polynomial share their leaves instead of copying them
+_CONSTANTS: "weakref.WeakValueDictionary[Fraction, Constant]" = weakref.WeakValueDictionary()
+_POWERS: "weakref.WeakValueDictionary[tuple[Expr, int], IntegerPower]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _constant(value: int | Fraction) -> Constant:
+    node = _CONSTANTS.get(value)
+    if node is None:
+        node = _CONSTANTS[value] = Constant(Fraction(value))
+    return node
+
+
+def _power(base: Expr, n: int) -> IntegerPower:
+    node = _POWERS.get((base, n))
+    if node is None:
+        node = _POWERS[(base, n)] = IntegerPower(base, n)
+    return node
+
+
 def _split_term(t: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
     """Split a normalized term into (rational coefficient, monomial factors)."""
     if isinstance(t, Constant):
@@ -236,21 +279,94 @@ def _split_term(t: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
     if isinstance(t, Product):
         if t.factors and isinstance(t.factors[0], Constant):
             return t.factors[0].value, t.factors[1:]
-        return Fraction(1), t.factors
-    return Fraction(1), (t,)
+        return _UNIT, t.factors
+    return _UNIT, (t,)
 
 
-def _make_term(coeff: Fraction, factors: tuple[Expr, ...]) -> Expr:
+def _make_term(coeff: int | Fraction, factors: tuple[Expr, ...]) -> Expr:
     # inputs are normalized and sorted, so the rebuilt node is normal too
     if coeff == 0:
         return ZERO
     if not factors:
-        return _mark(Constant(coeff))
+        return _constant(coeff)
     if coeff == 1:
         if len(factors) == 1:
             return factors[0]
         return _mark(Product(factors))
-    return _mark(Product((Constant(coeff),) + factors))
+    return _mark(Product((_constant(coeff),) + factors))
+
+
+def _sum_of_terms(buckets: Mapping[tuple[Expr, ...], int | Fraction]) -> Expr:
+    """The normal form of the sum of coeff * monomial over ``buckets``."""
+    terms = [_make_term(c, f) for f, c in buckets.items() if c != 0]
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        return terms[0]
+    terms.sort(key=_sort_key)
+    return Sum(tuple(terms))
+
+
+def _exact(q: Fraction) -> int | Fraction:
+    """A coefficient as an int when it is integral: int arithmetic is far cheaper."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]]:
+    """Multiply normalized factors that are not sums into (coefficient, monomial).
+
+    Constants fold into the coefficient, exp factors merge into one, repeated
+    bases combine into integer powers, and the factors come out sorted.
+    """
+    coeff: int | Fraction = 1
+    exp_args: list[Expr] = []
+    plain: list[Expr] = []
+    for f in factors:
+        if isinstance(f, Constant):
+            coeff *= _exact(f.value)
+        elif isinstance(f, Exp):
+            exp_args.append(f.arg)
+        else:
+            plain.append(f)
+    if coeff == 0:
+        return 0, ()
+    if exp_args:
+        merged = normalize(Exp(normalize(Sum(tuple(exp_args)))))
+        if isinstance(merged, Constant):
+            coeff *= _exact(merged.value)
+        else:
+            plain.append(merged)
+
+    powers: dict[Expr, int] = {}
+    for f in plain:
+        base, n = (f.base, f.exponent) if isinstance(f, IntegerPower) else (f, 1)
+        powers[base] = powers.get(base, 0) + n
+    out = [base if n == 1 else _power(base, n) for base, n in powers.items() if n != 0]
+    if len(out) > 1:
+        out.sort(key=_sort_key)
+    return coeff, tuple(out)
+
+
+def _multiply(factors: Sequence[Expr]) -> Expr:
+    """Multiply normalized factors out in full: one pass per sum factor.
+
+    The monomials formed so far sit in a dict with their coefficients; each
+    sum factor multiplies every one of them by every one of its terms, and
+    equal monomials collect as they form.
+    """
+    coeff, mono = _monomial(f for f in factors if not isinstance(f, Sum))
+    acc = {mono: coeff} if coeff != 0 else {}
+    for s in factors:
+        if not isinstance(s, Sum):
+            continue
+        terms = [(_exact(c), f) for c, f in map(_split_term, s.terms)]
+        out: dict[tuple[Expr, ...], int | Fraction] = {}
+        for fa, ca in acc.items():
+            for ct, ft in terms:
+                c, f = _monomial(fa + ft)
+                out[f] = out.get(f, 0) + ca * ct * c
+        acc = {f: c for f, c in out.items() if c != 0}
+    return _sum_of_terms(acc)
 
 
 def _strip_sign(e: Expr) -> tuple[int, Expr]:
@@ -277,8 +393,7 @@ def normalize(e: Expr) -> Expr:
 
 def _normalize(e: Expr) -> Expr:
     if isinstance(e, Sum):
-        buckets: dict[tuple[Expr, ...], Fraction] = {}
-        order: list[tuple[Expr, ...]] = []
+        buckets: dict[tuple[Expr, ...], int | Fraction] = {}
 
         def absorb(term: Expr) -> None:
             if isinstance(term, Sum):
@@ -286,22 +401,11 @@ def _normalize(e: Expr) -> Expr:
                     absorb(t)
                 return
             coeff, factors = _split_term(term)
-            if coeff == 0:
-                return
-            if factors not in buckets:
-                buckets[factors] = Fraction(0)
-                order.append(factors)
-            buckets[factors] += coeff
+            buckets[factors] = buckets.get(factors, 0) + _exact(coeff)
 
         for t in e.terms:
             absorb(normalize(t))
-        terms = [_make_term(buckets[f], f) for f in order if buckets[f] != 0]
-        terms.sort(key=_sort_key)
-        if not terms:
-            return ZERO
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+        return _sum_of_terms(buckets)
 
     if isinstance(e, Product):
         raw: list[Expr] = []
@@ -315,64 +419,7 @@ def _normalize(e: Expr) -> Expr:
 
         for f in e.factors:
             flatten(normalize(f))
-
-        # distribute over sums so identical monomials can collect, unless the
-        # expansion would blow up (then the structural form is kept and zero
-        # tests fall back to sampling)
-        width = 1
-        for f in raw:
-            width *= len(f.terms) if isinstance(f, Sum) else 1
-            if width > 2000:
-                break
-        if width <= 2000:
-            for i, f in enumerate(raw):
-                if isinstance(f, Sum):
-                    spread = [
-                        Product(tuple(raw[:i]) + (t,) + tuple(raw[i + 1 :])) for t in f.terms
-                    ]
-                    return normalize(Sum(tuple(spread)))
-
-        coeff = Fraction(1)
-        plain: list[Expr] = []
-        exp_args: list[Expr] = []
-        for factor in raw:
-            if isinstance(factor, Constant):
-                coeff *= factor.value
-            elif isinstance(factor, Exp):
-                exp_args.append(factor.arg)
-            else:
-                plain.append(factor)
-        if coeff == 0:
-            return ZERO
-
-        if exp_args:
-            merged = normalize(Sum(tuple(exp_args)))
-            exp_factor = normalize(Exp(merged))
-            if isinstance(exp_factor, Constant):
-                coeff *= exp_factor.value
-            else:
-                plain.append(exp_factor)
-
-        # combine repeated bases into integer powers
-        powers: dict[Expr, int] = {}
-        base_order: list[Expr] = []
-        for f in plain:
-            if isinstance(f, IntegerPower):
-                base, n = f.base, f.exponent
-            else:
-                base, n = f, 1
-            if base not in powers:
-                powers[base] = 0
-                base_order.append(base)
-            powers[base] += n
-        factors: list[Expr] = []
-        for base in base_order:
-            n = powers[base]
-            if n == 0:
-                continue
-            factors.append(base if n == 1 else IntegerPower(base, n))
-        factors.sort(key=_sort_key)
-        return _make_term(coeff, tuple(factors))
+        return _multiply(raw)
 
     if isinstance(e, Quotient):
         num = normalize(e.numerator)
@@ -417,7 +464,7 @@ def _normalize(e: Expr) -> Expr:
             )
         if isinstance(base, Exp):
             return normalize(Exp(Product((Constant(Fraction(n)), base.arg))))
-        if isinstance(base, Sum) and 2 <= n <= 8 and len(base.terms) ** n <= 2000:
+        if isinstance(base, Sum) and n > 0:
             return normalize(Product((base,) * n))
         return IntegerPower(base, n)
 

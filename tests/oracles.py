@@ -220,3 +220,20 @@ def cocycle_at_points(L, values, points, tol: float = 1e-7) -> bool:
                 if abs(lhs - rhs) > tol * (1.0 + abs(lhs) + abs(rhs)):
                     return False
     return True
+
+
+def poly_product(polys, nvars: int) -> dict:
+    """Product of polynomials stored as {exponent tuple: coefficient} dicts.
+
+    Schoolbook multiplication with no expression nodes: exponent tuples add,
+    equal ones collect, and zero coefficients are dropped.
+    """
+    out = {(0,) * nvars: 1}
+    for p in polys:
+        nxt: dict = {}
+        for ea, ca in out.items():
+            for eb, cb in p.items():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                nxt[e] = nxt.get(e, 0) + ca * cb
+        out = {e: c for e, c in nxt.items() if c != 0}
+    return out

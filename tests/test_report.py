@@ -35,3 +35,12 @@ def test_notes_alone_do_not_fail():
     f.note("informational")
     result = f.result(mode="sampled")
     assert result.passed and result.details == ("informational",) and result.witness is None
+
+
+def test_symbolic_nonzero_keeps_mode_symbolic():
+    # normalization settles x - x + 2 as the constant 2: a FAIL, but no sampling
+    f = Findings("constant")
+    f.zero(check_zero_all([parse("x - x + 2", XY)], SamplingPolicy(seed=5, count=10)), "nonzero")
+    result = f.result()
+    assert result.verdict is CheckVerdict.FAIL and result.mode == "symbolic"
+    assert result.witness == {"point": {}, "value": 2.0}

@@ -2,10 +2,15 @@
 
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
+from itertools import combinations, combinations_with_replacement
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from diracjacobi import chart_tensor
 from diracjacobi.symcalc import (
+    ZERO,
     Constant,
     Coordinate,
     Cos,
@@ -31,7 +36,7 @@ from diracjacobi.symcalc import (
     substitute,
 )
 
-from oracles import expr_fn, fd_partial
+from oracles import expr_fn, fd_partial, poly_product
 
 XY = ("x", "y")
 XYT = ("x", "y", "t")
@@ -233,3 +238,92 @@ def test_check_zero_all_shares_points(policy):
     # both expressions are evaluated over one deterministic point stream
     r = check_zero_all([parse("x - x", XY), parse("x*y - y*x", XY)], policy)
     assert r.verdict is ZeroVerdict.ZERO
+
+
+# -- products wider than 2000 terms multiply out in full ----------------------
+
+XYZ = ("x", "y", "z")
+DEGREE4 = ["*".join(c) or "1" for k in range(5) for c in combinations_with_replacement(XYZ, k)]
+
+
+def dense_poly(rng: random.Random, terms: int = 20):
+    """``terms`` distinct monomials of degree <= 4 on R^3, coefficients in {-2, -1, 1, 2}."""
+    chosen = rng.sample(DEGREE4, terms)
+    return parse(" + ".join(f"{rng.choice((-2, -1, 1, 2))}*{m}" for m in chosen), XYZ)
+
+
+class TestWideProducts:
+    def test_dense_antiderivation_is_symbolic(self, policy):
+        # i_X(a ^ b) = i_X a ^ b - a ^ i_X b for a 1-form a and a 2-form b,
+        # with 20-term degree-4 data: X^k * (a ^ b)_123 is 8000 pairs wide
+        ct = chart_tensor
+        M = ct.Chart("R3", XYZ)
+        rng = random.Random(11)
+        X = ct.VectorField(M, tuple(dense_poly(rng) for _ in XYZ))
+        a = ct.DifferentialForm(M, 1, {(i,): dense_poly(rng) for i in range(3)})
+        b = ct.DifferentialForm(M, 2, {idx: dense_poly(rng) for idx in combinations(range(3), 2)})
+        residual = ct.interior_product(X, ct.wedge(a, b)) - (
+            ct.wedge(ct.interior_product(X, a), b) + ct.wedge(a, ct.interior_product(X, b)).scale(-1)
+        )
+        rep = check_zero_all(residual.coefficients(), policy, coords=XYZ)
+        assert rep.verdict is ZeroVerdict.ZERO and rep.mode == "symbolic"
+
+    def test_associativity_is_structural(self):
+        rng = random.Random(12)
+        p, q, r = (dense_poly(rng) for _ in range(3))
+        assert (p * q) * r - p * (q * r) == ZERO
+
+    def test_power_of_a_sum_is_structural(self):
+        e = parse("(x + y + z + 1)^9 - (x + y + z + 1)^4 * (x + y + z + 1)^5", XYZ)
+        assert e == ZERO
+
+
+EXPONENTS4 = [(i, j, k) for i in range(5) for j in range(5) for k in range(5) if i + j + k <= 4]
+
+
+def poly_dicts():
+    """Polynomials of degree <= 4 on R^3 as {exponent tuple: coefficient}, 1 to 20 terms."""
+    exponents = st.sampled_from(EXPONENTS4)
+    coefficients = st.fractions(-3, 3, max_denominator=4).filter(lambda c: c != 0)
+    return st.integers(1, 20).flatmap(
+        lambda n: st.dictionaries(exponents, coefficients, min_size=n, max_size=n)
+    )
+
+
+def poly_expr(p: dict):
+    def monomial(c, e):
+        powers = [IntegerPower(Coordinate(v), k) for v, k in zip(XYZ, e) if k]
+        return Product((Constant(c), *powers))
+
+    return normalize(Sum(tuple(monomial(c, e) for e, c in p.items())))
+
+
+def exponents_of(term) -> tuple[Fraction, tuple[int, ...]]:
+    """Read (coefficient, exponent tuple) off one term of a normalized polynomial."""
+    coeff, exps = Fraction(1), [0] * len(XYZ)
+    for f in term.factors if isinstance(term, Product) else (term,):
+        if isinstance(f, Constant):
+            coeff *= f.value
+        elif isinstance(f, Coordinate):
+            exps[XYZ.index(f.name)] += 1
+        else:
+            assert isinstance(f, IntegerPower) and isinstance(f.base, Coordinate), f
+            exps[XYZ.index(f.base.name)] += f.exponent
+    return coeff, tuple(exps)
+
+
+_rng = random.Random(13)
+WIDEST = [{e: Fraction(_rng.choice((-2, -1, 1, 2))) for e in _rng.sample(EXPONENTS4, 20)}
+          for _ in range(3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(poly_dicts(), poly_dicts(), poly_dicts())
+@example(*WIDEST)  # 20 * 20 * 20 = 8000 pairs
+def test_product_matches_the_exponent_oracle(p, q, r):
+    expected = poly_product([p, q, r], len(XYZ))
+    got = normalize(Product((poly_expr(p), poly_expr(q), poly_expr(r))))
+    terms = got.terms if isinstance(got, Sum) else () if got == ZERO else (got,)
+    read = [exponents_of(t) for t in terms]
+    assert len({e for _, e in read}) == len(read)  # one term per monomial
+    assert {e: c for c, e in read} == expected
