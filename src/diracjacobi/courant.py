@@ -181,6 +181,13 @@ def courant_bracket(a: SectionTM, b: SectionTM) -> SectionTM:
     )
 
 
+def _scaled_differential(chart: Chart, u: Expr, h: Expr) -> DifferentialForm:
+    """h du, built only when neither h nor u is structurally zero."""
+    if is_structurally_zero(h) or is_structurally_zero(u):
+        return DifferentialForm.zero(chart, 1)
+    return differential(chart, u).scale(h)
+
+
 def extended_courant_bracket(a: SectionE1, b: SectionE1) -> SectionE1:
     """The skew bracket on E1(M) sections, all four slots.
 
@@ -200,14 +207,14 @@ def extended_courant_bracket(a: SectionE1, b: SectionE1) -> SectionE1:
     form = (
         lie_derivative(a.X, b.xi)
         - lie_derivative(b.X, a.xi)
-        + differential(chart, i21 - i12).scale(HALF)
+        + _scaled_differential(chart, i21 - i12, HALF)
         + b.xi.scale(a.f)
         - a.xi.scale(b.f)
         + (
-            differential(chart, a.f).scale(b.g)
-            - differential(chart, b.f).scale(a.g)
-            - differential(chart, b.g).scale(a.f)
-            + differential(chart, a.g).scale(b.f)
+            _scaled_differential(chart, a.f, b.g)
+            - _scaled_differential(chart, b.f, a.g)
+            - _scaled_differential(chart, b.g, a.f)
+            + _scaled_differential(chart, a.g, b.f)
         ).scale(HALF)
     )
     g_slot = a.X.apply(b.g) - b.X.apply(a.g) + _half(i21 - i12 - b.f * a.g + a.f * b.g)

@@ -987,6 +987,8 @@ def run_scenario(
             result = CHECKS[spec.kind].fn(policy, spec.name, **spec.args)
         except (ChartError, GroupoidModelError, HomogeneityError, ExprError) as exc:
             result = error_result(spec.name, str(exc))
+        except Exception as exc:  # a fault of the library, reported rather than raised
+            result = error_result(spec.name, f"internal: {type(exc).__name__}: {exc}")
         wall = (_time.perf_counter() - start) * 1e3
         # the library may return a result named differently; pin the scenario name
         if result.name != spec.name:

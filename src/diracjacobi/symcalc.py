@@ -6,9 +6,12 @@ functions exp, ln, sin, cos.  Normalization is structural only (flatten,
 fold constants, collect identical monomials, merge exponentials).  Products
 of sums, positive powers of sums included, are multiplied out in full, one
 sum at a time, with equal monomials collected as they form; the monomials
-share their coefficient and power nodes.  Identity checking beyond that
-falls back to randomized point evaluation, which is exact on rational
-expressions when sampled at rational points.
+share their coefficient and power nodes.  Work that belongs to an immutable
+node is done once and kept on it: its hash, its sort key, the mark that it
+is normal, and its derivative by each coordinate.  Identity checking beyond
+that falls back to randomized point evaluation, which is exact on rational
+expressions when sampled at rational points; at float points it runs in
+floats alone.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import sys
 import weakref
 import zlib
 from dataclasses import dataclass
@@ -725,8 +729,21 @@ def render(e: Expr) -> str:
 
 
 def differentiate(e: Expr, v: str) -> Expr:
-    """Partial derivative with respect to the coordinate named ``v``, normalized."""
-    return normalize(_diff(normalize(e), v))
+    """Partial derivative with respect to the coordinate named ``v``, normalized.
+
+    The derivative is kept on the normalized node, one per coordinate, like
+    its hash and sort key: a node is differentiated once per coordinate
+    however often it is asked, and the memo lives exactly as long as the node.
+    """
+    n = normalize(e)
+    try:
+        memo = n._d
+    except AttributeError:
+        memo = n.__dict__["_d"] = {}
+    d = memo.get(v)
+    if d is None:
+        d = memo[v] = normalize(_diff(n, v))
+    return d
 
 
 def _diff(e: Expr, v: str) -> Expr:
@@ -809,13 +826,16 @@ def _exp(x: float) -> float:
 
 
 def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
-    """Evaluate at a point.  Exact Fraction result on rational data, float otherwise.
+    """Evaluate at a point.  Exact rational result on rational data, float otherwise.
 
-    Raises EvaluationError on division by zero, ln of a non-positive argument
-    or an exp that overflows.
+    Sums start from the int 0, products from the int 1, and integral
+    constants enter as ints, so at a float point the arithmetic stays in
+    floats and never passes through Fraction's operators; the result is the
+    same float.  Raises EvaluationError on division by zero, ln of a
+    non-positive argument or an exp that overflows.
     """
     if isinstance(e, Constant):
-        return e.value
+        return _exact(e.value)
     if isinstance(e, Coordinate):
         try:
             v = point[e.name]
@@ -823,12 +843,12 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
             raise EvaluationError(f"no value assigned to coordinate '{e.name}'") from None
         return Fraction(v) if isinstance(v, int) else v
     if isinstance(e, Sum):
-        out: Number = Fraction(0)
+        out: Number = 0
         for t in e.terms:
             out = out + evaluate(t, point)
         return out
     if isinstance(e, Product):
-        out = Fraction(1)
+        out = 1
         for f in e.factors:
             out = out * evaluate(f, point)
         return out
@@ -836,11 +856,15 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
         den = evaluate(e.denominator, point)
         if den == 0:
             raise EvaluationError("division by zero")
+        if isinstance(den, int):  # int / int would round to a float
+            den = Fraction(den)
         return evaluate(e.numerator, point) / den
     if isinstance(e, IntegerPower):
         base = evaluate(e.base, point)
         if base == 0 and e.exponent < 0:
             raise EvaluationError("division by zero")
+        if isinstance(base, int) and e.exponent < 0:
+            base = Fraction(base)
         return base**e.exponent
     if isinstance(e, Exp):
         return _exp(float(evaluate(e.arg, point)))
@@ -975,6 +999,14 @@ class ZeroReport:
         return self.verdict is not ZeroVerdict.NONZERO
 
 
+def _finite_float(v: Number) -> float:
+    """float(v), clamped to the largest finite float when |v| is too large for one."""
+    try:
+        return float(v)
+    except OverflowError:
+        return sys.float_info.max if v > 0 else -sys.float_info.max
+
+
 def check_zero_all(
     exprs: Iterable[Expr],
     policy: SamplingPolicy,
@@ -994,9 +1026,8 @@ def check_zero_all(
         return ZeroReport(ZeroVerdict.ZERO, "symbolic")
     for n in remaining:
         if isinstance(n, Constant):  # nonzero literal
-            return ZeroReport(
-                ZeroVerdict.NONZERO, "symbolic", abs(float(n.value)), {}, float(n.value), 0
-            )
+            fv = _finite_float(n.value)
+            return ZeroReport(ZeroVerdict.NONZERO, "symbolic", abs(fv), {}, fv, 0)
 
     if coords is None:
         names: set[str] = set()
@@ -1029,8 +1060,8 @@ def check_zero_all(
         try:
             for n in remaining:
                 if rational:
-                    v = evaluate(n, point)
-                    fv = float(v)
+                    v = evaluate(n, point)  # exact: the verdict reads v, not its float
+                    fv = _finite_float(v)
                     max_abs = max(max_abs, abs(fv))
                     if v != 0:
                         return ZeroReport(

@@ -19,9 +19,10 @@ from diracjacobi.courant import (
     pairing_e1,
     pairing_tm,
 )
+from diracjacobi.structures import construct_L_theta
 from diracjacobi.symcalc import ONE, ZERO, is_structurally_zero, normalize, parse
 
-from oracles import fd_courant_bracket
+from oracles import fd_courant_bracket, fd_extended_bracket
 
 
 def P(chart, text):
@@ -201,3 +202,43 @@ class TestExtendedBracket:
             extended_courant_bracket(a, b)
         with pytest.raises(ChartError):
             pairing_e1(a, b)
+
+
+def assert_matches_fd_oracle(a, b, points):
+    got = extended_courant_bracket(a, b)
+    n = a.chart.dim
+    for p in points:
+        vec, f, form, g = fd_extended_bracket(a, b, p)
+        want = got.at(p)
+        assert np.allclose(vec, want[:n], atol=1e-5)
+        assert np.allclose([f, g], [want[n], want[-1]], atol=1e-5)
+        assert np.allclose(form, want[n + 1 : -1], atol=1e-5)
+
+
+class TestExtendedBracketOracle:
+    """The bracket against finite differences, where its zero-scaled
+    differential terms are dropped: one side's f or g is structurally zero
+    and the other's is not."""
+
+    @pytest.mark.parametrize("zero_slots", [("f",), ("g",), ("f", "g")])
+    def test_one_sided_zero_scalars(self, rand_r2, zero_slots):
+        a = rand_e1(rand_r2)
+        b = rand_e1(rand_r2)
+        a = SectionE1(a.X, ZERO if "f" in zero_slots else a.f, a.xi,
+                      ZERO if "g" in zero_slots else a.g)
+        points = [rand_r2.point() for _ in range(3)]
+        assert_matches_fd_oracle(a, b, points)
+        assert_matches_fd_oracle(b, a, points)
+
+    def test_zero_scalars_on_both_sides(self, rand_r2):
+        a = SectionE1(rand_r2.vector_field(), ZERO, rand_r2.form(1), rand_r2.poly())
+        b = SectionE1(rand_r2.vector_field(), rand_r2.poly(), rand_r2.form(1), ZERO)
+        assert_matches_fd_oracle(a, b, [rand_r2.point() for _ in range(3)])
+
+    def test_L_theta_generator_pairs(self, rand_r3):
+        L = construct_L_theta(rand_r3.form(1))
+        points = [rand_r3.point() for _ in range(2)]
+        gens = L.generators
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                assert_matches_fd_oracle(gens[i], gens[j], points)

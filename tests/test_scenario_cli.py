@@ -1,6 +1,7 @@
 """Scenario loading/validation, the runner, the CLI, and report determinism."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from diracjacobi.scenario import (
     GROUPOIDS,
     STRUCTURES,
     TOP_LEVEL_KEYS,
+    Kind,
     ScenarioError,
     load_scenario,
     run_scenario,
@@ -205,6 +207,33 @@ def test_box_narrower_than_the_rational_grid(tmp_path, capsys):
     assert "expr-zero#1: FAIL" in out and "Traceback" not in err
     (outcome,) = run_scenario(load_scenario(p)).outcomes
     assert all(0.001 <= v <= 0.002 for v in outcome.result.witness["point"].values())
+
+
+def test_huge_exact_sample_fails_with_a_finite_witness(tmp_path, capsys):
+    # at seed 3 the first sample has |x^2000 - y^2000| far beyond the float range
+    p = tmp_path / "huge.scn"
+    p.write_text('name: huge\ncharts: {M: [x, y]}\n'
+                 'checks: [{check: expr-zero, chart: M, expr: "x^2000 - y^2000", expect: fail}]\n')
+    report_path = tmp_path / "huge.json"
+    assert main(["run", str(p), "--seed", "3", "--report", str(report_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    strict = {"parse_constant": lambda c: pytest.fail(f"{c} is not JSON")}
+    (check,) = json.loads(report_path.read_text(), **strict)["checks"]
+    assert check["verdict"] == "FAIL" and check["mode"] == "sampled"
+    value = check["witness"]["value"]
+    assert math.isfinite(value) and abs(value) == check["residual_max"] > 1e300
+
+
+def test_unexpected_exception_is_an_internal_error(tiny, monkeypatch):
+    def boom(policy, name, **args):
+        raise RuntimeError("runner fault")
+
+    kind = CHECKS["expr-zero"]
+    monkeypatch.setitem(CHECKS, "expr-zero", Kind(boom, *kind.args))
+    report = run_scenario(load_scenario(tiny))
+    verdicts = [o.result.verdict for o in report.outcomes]
+    assert verdicts == [CheckVerdict.PASS, CheckVerdict.PASS, CheckVerdict.ERROR]
+    assert report.outcomes[2].result.details == ("internal: RuntimeError: runner fault",)
 
 
 def test_nonzero_expression_reports_its_residual(tiny):

@@ -6,7 +6,7 @@ import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diracjacobi import chart_tensor
 from diracjacobi.symcalc import (
@@ -20,14 +20,17 @@ from diracjacobi.symcalc import (
     IntegerPower,
     Ln,
     Product,
+    Quotient,
     SamplingPolicy,
     Sin,
     Sum,
     UnknownSymbolError,
     ZeroVerdict,
+    _diff,
     check_zero_all,
     differentiate,
     evaluate,
+    evaluate_with_scale,
     free_coordinates,
     is_zero,
     normalize,
@@ -143,6 +146,11 @@ class TestEvaluate:
         v = evaluate(parse("x/y", XY), {"x": 1, "y": 3})
         assert v == Fraction(1, 3)
 
+    def test_integral_constants_divide_exactly(self):
+        # raw nodes: normalize would fold both into constants
+        assert evaluate(Quotient(Constant(Fraction(1)), Constant(Fraction(3))), {}) == Fraction(1, 3)
+        assert evaluate(IntegerPower(Constant(Fraction(2)), -2), {}) == Fraction(1, 4)
+
 
 class TestIsZero:
     def test_structural_zero(self, policy):
@@ -178,7 +186,8 @@ class TestIsZero:
 # -- hypothesis strategies over the expression grammar ------------------------
 
 
-def exprs(coords=XYT, max_leaves=8):
+def exprs(coords=XYT, max_leaves=8, functions=(Exp, Ln, Sin, Cos)):
+    """Raw expression trees; ``functions=()`` leaves only rational ones."""
     leaves = st.one_of(
         st.integers(-4, 4).map(lambda n: Constant(Fraction(n))),
         st.sampled_from([Coordinate(c) for c in coords]),
@@ -189,10 +198,7 @@ def exprs(coords=XYT, max_leaves=8):
             st.tuples(children, children).map(lambda ab: Sum(ab)),
             st.tuples(children, children).map(lambda ab: Product(ab)),
             st.tuples(children, st.integers(0, 3)).map(lambda bn: IntegerPower(*bn)),
-            children.map(Exp),
-            children.map(Ln),
-            children.map(Sin),
-            children.map(Cos),
+            *(children.map(fn) for fn in functions),
             children.map(lambda e: -e),
         )
 
@@ -222,6 +228,117 @@ def test_derivative_linearity(e1, e2, a, b):
         e2, "x"
     )
     assert normalize(lhs - rhs) == Constant(Fraction(0))
+
+
+# -- the kernel against sympy, a test-only oracle ------------------------------
+
+
+def to_sympy(e):
+    """The same expression in sympy, node for node, over real symbols."""
+    sympy = pytest.importorskip("sympy")
+    if isinstance(e, Constant):
+        return sympy.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Coordinate):
+        return sympy.Symbol(e.name, real=True)
+    if isinstance(e, Sum):
+        return sympy.Add(*map(to_sympy, e.terms))
+    if isinstance(e, Product):
+        return sympy.Mul(*map(to_sympy, e.factors))
+    if isinstance(e, Quotient):
+        return to_sympy(e.numerator) / to_sympy(e.denominator)
+    if isinstance(e, IntegerPower):
+        return sympy.Pow(to_sympy(e.base), e.exponent)
+    function = {Exp: sympy.exp, Ln: sympy.log, Sin: sympy.sin, Cos: sympy.cos}[type(e)]
+    return function(to_sympy(e.arg))
+
+
+def sympy_equal(a, b) -> bool:
+    """a = b as real functions.
+
+    expand settles the polynomial identities.  What it leaves, such as
+    ln(exp(u)) = u for a u that sympy cannot prove real or a quotient left
+    uncancelled, is compared at rational points where both sides are real.
+    """
+    sympy = pytest.importorskip("sympy")
+    d = sympy.expand(a - b)
+    if d == 0:
+        return True
+    rng = random.Random(0)
+    symbols = sorted(d.free_symbols, key=str)
+    compared = 0
+    for _ in range(20):
+        point = {s: sympy.Rational(rng.randint(-194, 194), 97) for s in symbols}
+        va, vb = (sympy.N(x.subs(point), 30) for x in (a, b))
+        if not all(v.is_real and v.is_finite for v in (va, vb)):
+            continue
+        if abs(va - vb) > 1e-20 * (1 + abs(va)):
+            return False
+        compared += 1
+    assume(compared > 0)  # real nowhere on the sampled points
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs())
+def test_normalize_agrees_with_sympy(e):
+    assert sympy_equal(to_sympy(normalize(e)), to_sympy(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs(), st.sampled_from(XYT))
+def test_differentiate_agrees_with_sympy(e, v):
+    sympy = pytest.importorskip("sympy")
+    want = sympy.diff(to_sympy(e), sympy.Symbol(v, real=True))
+    assert sympy_equal(to_sympy(differentiate(e, v)), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs(), st.sampled_from(XYT))
+def test_derivative_is_kept_on_the_node(e, v):
+    n = normalize(e)
+    first = differentiate(n, v)
+    assert differentiate(n, v) is first
+    assert first == normalize(_diff(normalize(e), v))
+
+
+FLOAT_POINTS = st.tuples(*(st.floats(-2, 2) for _ in XYT)).map(lambda p: dict(zip(XYT, p)))
+RATIONAL_POINTS = st.tuples(
+    *(st.fractions(-2, 2, max_denominator=97) for _ in XYT)
+).map(lambda p: dict(zip(XYT, p)))
+
+
+def outcome(fn, e, point):
+    """fn(e, point), or the type of the singularity it raised."""
+    try:
+        return fn(e, point)
+    except (EvaluationError, OverflowError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs(), FLOAT_POINTS)
+def test_float_evaluation_matches_the_float_evaluator(e, point):
+    for x in (e, normalize(e)):
+        got = outcome(evaluate, x, point)
+        want = outcome(lambda x, p: evaluate_with_scale(x, p)[0], x, point)
+        if isinstance(want, float) and want != want:  # nan
+            assert got != got
+        else:
+            assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(functions=()), RATIONAL_POINTS)
+def test_rational_evaluation_is_exact(e, point):
+    sympy = pytest.importorskip("sympy")
+    want = to_sympy(e).subs(
+        {sympy.Symbol(c, real=True): sympy.Rational(q.numerator, q.denominator)
+         for c, q in point.items()}
+    )
+    for x in (e, normalize(e)):
+        got = evaluate(x, point)
+        assert isinstance(got, (int, Fraction))
+        assert got == Fraction(int(want.p), int(want.q))
 
 
 def test_substitute():
