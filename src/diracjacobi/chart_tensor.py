@@ -11,6 +11,9 @@ Conventions (fixed once, used everywhere):
 * sharp of a bivector P is P#(a)(b) = P(a, b), so (dx^dy)#(dx) = dy;
 * Lie derivative of forms is implemented by the direct component formula,
   so the Cartan identity L_X = i_X d + d i_X remains a genuine cross-check.
+
+Each operator collects the signed raw terms of a coefficient and normalizes
+their sum once, rather than folding the terms in one at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .symcalc import (
+    MINUS_ONE,
     Expr,
     FUNCTIONS,
     ZERO,
     ONE,
+    Product,
+    Sum,
     as_expr,
     coord,
     differentiate,
@@ -86,9 +92,23 @@ def _require_same_chart(a, b) -> None:
 
 
 def _check_expr_coords(chart: Chart, e: Expr, what: str) -> None:
-    extra = free_coordinates(e) - set(chart.coords)
+    extra = free_coordinates(e).difference(chart.coords)
     if extra:
         raise ChartError(f"{what} uses symbols {sorted(extra)} not in chart '{chart.name}'")
+
+
+def _signed(sign: int, *factors: Expr) -> Expr:
+    """The raw product sign * factors, for a coefficient still being collected."""
+    return Product(factors if sign > 0 else (MINUS_ONE, *factors))
+
+
+def _total(terms: Sequence[Expr]) -> Expr:
+    """The normal form of a coefficient collected as raw terms: one normalization."""
+    return normalize(terms[0]) if len(terms) == 1 else normalize(Sum(tuple(terms)))
+
+
+def _totals(table: Mapping[tuple[int, ...], Sequence[Expr]]) -> dict[tuple[int, ...], Expr]:
+    return {k: _total(terms) for k, terms in table.items()}
 
 
 # --------------------------------------------------------------------------
@@ -122,11 +142,17 @@ class VectorField:
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f) = sum_i X^i df/dx_i."""
-        out: Expr = ZERO
+        return _total(self._apply_terms(f, 1))
+
+    def _apply_terms(self, f: Expr, sign: int) -> list[Expr]:
+        """The raw terms of sign * X(f)."""
+        terms = []
         for name, comp in zip(self.chart.coords, self.components):
             if not is_structurally_zero(comp):
-                out = out + comp * differentiate(f, name)
-        return out
+                df = differentiate(f, name)
+                if not is_structurally_zero(df):
+                    terms.append(_signed(sign, comp, df))
+        return terms
 
     def at(self, point: Mapping[str, float]) -> np.ndarray:
         return np.array([float(evaluate(c, point)) for c in self.components], dtype=float)
@@ -252,11 +278,10 @@ class _AlternatingTable:
         _require_same_chart(self, other)
         if self.degree != other.degree:
             raise ChartError("degree mismatch")
-        table = dict(self.entries)
+        table = {k: [v] for k, v in self.entries}
         for k, v in other.entries:
-            v = v if flip > 0 else -v
-            table[k] = table[k] + v if k in table else v
-        return type(self)(self.chart, self.degree, table)
+            table.setdefault(k, []).append(v if flip > 0 else _signed(-1, v))
+        return type(self)(self.chart, self.degree, _totals(table))
 
     def __add__(self, other):
         return self._binary(other, +1)
@@ -352,7 +377,7 @@ def coordinate_form(chart: Chart, name: str) -> DifferentialForm:
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
     """d(a dx_I) = sum_j (da/dx_j) dx_j ^ dx_I, degree k+1."""
     chart = omega.chart
-    table: dict[tuple[int, ...], Expr] = {}
+    table: dict[tuple[int, ...], list[Expr]] = {}
     for idx, a in omega.entries:
         for j, name in enumerate(chart.coords):
             if j in idx:
@@ -361,9 +386,8 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
             if is_structurally_zero(da):
                 continue
             key, sign = _sorted_index((j,) + idx)
-            term = da if sign > 0 else -da
-            table[key] = table[key] + term if key in table else term
-    return DifferentialForm(chart, omega.degree + 1, table)
+            table.setdefault(key, []).append(da if sign > 0 else _signed(-1, da))
+    return DifferentialForm(chart, omega.degree + 1, _totals(table))
 
 
 def wedge(a, b):
@@ -373,17 +397,14 @@ def wedge(a, b):
     _require_same_chart(a, b)
     if a.degree + b.degree > a.chart.dim:
         return type(a).zero(a.chart, a.degree + b.degree)
-    table: dict[tuple[int, ...], Expr] = {}
+    table: dict[tuple[int, ...], list[Expr]] = {}
     for ia, va in a.entries:
         for ib, vb in b.entries:
             key, sign = _sorted_index(ia + ib)
             if key is None:
                 continue
-            term = va * vb
-            if sign < 0:
-                term = -term
-            table[key] = table[key] + term if key in table else term
-    return type(a)(a.chart, a.degree + b.degree, table)
+            table.setdefault(key, []).append(_signed(sign, va, vb))
+    return type(a)(a.chart, a.degree + b.degree, _totals(table))
 
 
 def interior_product(X: VectorField, omega: DifferentialForm) -> DifferentialForm:
@@ -391,18 +412,15 @@ def interior_product(X: VectorField, omega: DifferentialForm) -> DifferentialFor
     _require_same_chart(X, omega)
     if omega.degree < 1:
         raise ChartError("interior product needs degree >= 1")
-    table: dict[tuple[int, ...], Expr] = {}
+    table: dict[tuple[int, ...], list[Expr]] = {}
     for idx, a in omega.entries:
         for pos, i in enumerate(idx):
             xi = X.components[i]
             if is_structurally_zero(xi):
                 continue
             key = idx[:pos] + idx[pos + 1 :]
-            term = xi * a
-            if pos % 2 == 1:
-                term = -term
-            table[key] = table[key] + term if key in table else term
-    return DifferentialForm(omega.chart, omega.degree - 1, table)
+            table.setdefault(key, []).append(_signed(-1 if pos % 2 else 1, xi, a))
+    return DifferentialForm(omega.chart, omega.degree - 1, _totals(table))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -410,7 +428,10 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     _require_same_chart(X, Y)
     return VectorField(
         X.chart,
-        tuple(X.apply(yc) - Y.apply(xc) for xc, yc in zip(X.components, Y.components)),
+        tuple(
+            _total(X._apply_terms(yc, 1) + Y._apply_terms(xc, -1))
+            for xc, yc in zip(X.components, Y.components)
+        ),
     )
 
 
@@ -426,11 +447,10 @@ def lie_derivative(X: VectorField, omega: DifferentialForm) -> DifferentialForm:
         return DifferentialForm.from_scalar(chart, X.apply(omega.scalar()))
     from itertools import combinations
 
-    table: dict[tuple[int, ...], Expr] = {}
+    table: dict[tuple[int, ...], list[Expr]] = {}
     for idx, a in omega.entries:
-        table[idx] = X.apply(a)
+        table[idx] = X._apply_terms(a, 1)
     for I in combinations(range(chart.dim), omega.degree):
-        acc: Expr = ZERO
         for p in range(len(I)):
             for j in range(chart.dim):
                 dX = differentiate(X.components[j], chart.coords[I[p]])
@@ -439,10 +459,8 @@ def lie_derivative(X: VectorField, omega: DifferentialForm) -> DifferentialForm:
                 w = omega.coefficient(I[:p] + (j,) + I[p + 1 :])
                 if is_structurally_zero(w):
                     continue
-                acc = acc + dX * w
-        if not is_structurally_zero(acc):
-            table[I] = table[I] + acc if I in table else acc
-    return DifferentialForm(chart, omega.degree, table)
+                table.setdefault(I, []).append(_signed(1, dX, w))
+    return DifferentialForm(chart, omega.degree, _totals(table))
 
 
 @dataclass(frozen=True)
@@ -511,13 +529,15 @@ def pullback(F: SmoothMap, omega: DifferentialForm) -> DifferentialForm:
     if omega.degree == 0:
         return DifferentialForm.from_scalar(F.source, F.pull_expr(omega.scalar()))
     dF = [differential(F.source, c) for c in F.components]
-    out = DifferentialForm.zero(F.source, omega.degree)
+    table: dict[tuple[int, ...], list[Expr]] = {}
     for idx, a in omega.entries:
         term = dF[idx[0]]
         for i in idx[1:]:
             term = wedge(term, dF[i])
-        out = out + term.scale(F.pull_expr(a))
-    return out
+        pulled = F.pull_expr(a)
+        for k, c in term.entries:
+            table.setdefault(k, []).append(_signed(1, pulled, c))
+    return DifferentialForm(F.source, omega.degree, _totals(table))
 
 
 def pushforward_at_point(
@@ -532,12 +552,12 @@ def sharp(Lam: Multivector, alpha: DifferentialForm) -> VectorField:
     if Lam.degree != 2 or alpha.degree != 1:
         raise ChartError("sharp needs a bivector and a 1-form")
     _require_same_chart(Lam, alpha)
-    comps: list[Expr] = [ZERO] * Lam.chart.dim
+    comps: list[list[Expr]] = [[] for _ in Lam.chart.coords]
     for (i, j), c in Lam.entries:
         ai = alpha.coefficient((i,))
         aj = alpha.coefficient((j,))
         if not is_structurally_zero(ai):
-            comps[j] = comps[j] + ai * c
+            comps[j].append(_signed(1, ai, c))
         if not is_structurally_zero(aj):
-            comps[i] = comps[i] - aj * c
-    return VectorField(Lam.chart, tuple(comps))
+            comps[i].append(_signed(-1, aj, c))
+    return VectorField(Lam.chart, tuple(map(_total, comps)))

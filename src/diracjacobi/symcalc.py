@@ -5,13 +5,19 @@ coordinates, sums, products, quotients, integer powers, and the elementary
 functions exp, ln, sin, cos.  Normalization is structural only (flatten,
 fold constants, collect identical monomials, merge exponentials).  Products
 of sums, positive powers of sums included, are multiplied out in full, one
-sum at a time, with equal monomials collected as they form; the monomials
-share their coefficient and power nodes.  Work that belongs to an immutable
-node is done once and kept on it: its hash, its sort key, the mark that it
-is normal, and its derivative by each coordinate.  Identity checking beyond
-that falls back to randomized point evaluation, which is exact on rational
-expressions when sampled at rational points; at float points it runs in
-floats alone.
+sum at a time, with equal monomials collected as they form.  Inside one
+product every monomial is a packed exponent key: its atoms (the bases of its
+powers) are indexed once, their exponents are the signed digits of one int,
+so a pair of terms multiplies by one int addition, and only the distinct
+monomials of the result are unpacked into nodes that share their
+coefficient and power nodes; a sum of raw products collects all their terms
+in one set of buckets.  A monomial is differentiated by shifting the
+exponent of the coordinate; only the other atoms take the product rule.
+Work that belongs to an immutable node is done once and kept on it: its
+hash, its sort key, its free coordinates, the mark that it is normal, and
+its derivative by each coordinate.  Identity checking beyond that falls
+back to randomized point evaluation, which is exact on rational expressions
+when sampled at rational points; at float points it runs in floats alone.
 """
 
 from __future__ import annotations
@@ -191,20 +197,31 @@ def coord(name: str) -> Coordinate:
 
 
 def free_coordinates(e: Expr) -> frozenset[str]:
+    """The names of the coordinates in ``e``, kept on the node like its hash."""
+    try:
+        return e._free
+    except AttributeError:
+        out = e.__dict__["_free"] = _free_coordinates_impl(e)
+        return out
+
+
+def _free_coordinates_impl(e: Expr) -> frozenset[str]:
     if isinstance(e, Constant):
         return frozenset()
     if isinstance(e, Coordinate):
         return frozenset((e.name,))
     if isinstance(e, Sum):
-        out: frozenset[str] = frozenset()
+        # the terms of a sum are mostly fresh products of shared factors:
+        # walk the distinct factors and leave the terms unmarked
+        factors = set()
         for t in e.terms:
-            out |= free_coordinates(t)
-        return out
+            if isinstance(t, Product):
+                factors.update(t.factors)
+            else:
+                factors.add(t)
+        return frozenset().union(*map(free_coordinates, factors))
     if isinstance(e, Product):
-        out = frozenset()
-        for f in e.factors:
-            out |= free_coordinates(f)
-        return out
+        return frozenset().union(*map(free_coordinates, e.factors))
     if isinstance(e, Quotient):
         return free_coordinates(e.numerator) | free_coordinates(e.denominator)
     if isinstance(e, IntegerPower):
@@ -229,6 +246,8 @@ def _sort_key(e: Expr):
 
 
 def _sort_key_impl(e: Expr):
+    if isinstance(e, Product):  # the most frequent new node: a term of a sum
+        return (8, "", tuple(map(_sort_key, e.factors)))
     if isinstance(e, Constant):
         return (0, f"{e.value.numerator}/{e.value.denominator}", ())
     if isinstance(e, Coordinate):
@@ -245,10 +264,8 @@ def _sort_key_impl(e: Expr):
         return (6, "", (_sort_key(e.arg),))
     if isinstance(e, Quotient):
         return (7, "", (_sort_key(e.numerator), _sort_key(e.denominator)))
-    if isinstance(e, Product):
-        return (8, "", tuple(_sort_key(f) for f in e.factors))
     if isinstance(e, Sum):
-        return (9, "", tuple(_sort_key(t) for t in e.terms))
+        return (9, "", tuple(map(_sort_key, e.terms)))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -273,6 +290,8 @@ def _power(base: Expr, n: int) -> IntegerPower:
     node = _POWERS.get((base, n))
     if node is None:
         node = _POWERS[(base, n)] = IntegerPower(base, n)
+        if _multiplies_back(node):
+            _mark(node)
     return node
 
 
@@ -316,6 +335,11 @@ def _exact(q: Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def _base_exponent(f: Expr) -> tuple[Expr, int]:
+    """A monomial factor as (base, exponent): x^3 is (x, 3), sin(x) is (sin(x), 1)."""
+    return (f.base, f.exponent) if isinstance(f, IntegerPower) else (f, 1)
+
+
 def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]]:
     """Multiply normalized factors that are not sums into (coefficient, monomial).
 
@@ -343,7 +367,7 @@ def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]
 
     powers: dict[Expr, int] = {}
     for f in plain:
-        base, n = (f.base, f.exponent) if isinstance(f, IntegerPower) else (f, 1)
+        base, n = _base_exponent(f)
         powers[base] = powers.get(base, 0) + n
     out = [base if n == 1 else _power(base, n) for base, n in powers.items() if n != 0]
     if len(out) > 1:
@@ -351,26 +375,129 @@ def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]
     return coeff, tuple(out)
 
 
-def _multiply(factors: Sequence[Expr]) -> Expr:
-    """Multiply normalized factors out in full: one pass per sum factor.
+def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]:
+    """Multiply normalized factors out in full, one pass per sum factor.
 
-    The monomials formed so far sit in a dict with their coefficients; each
-    sum factor multiplies every one of them by every one of its terms, and
-    equal monomials collect as they form.
+    The result is {monomial factors: coefficient}; a sum that holds the
+    product as one of its terms adds these to its own buckets directly.
+
+    Every term of the factors is split once into its coefficient, its exp
+    factor (a normalized monomial holds at most one) and its other factors
+    as (base, exponent) pairs.  The bases are indexed, and a term's exponents
+    become the signed digits of one int, each slot wide enough for the sum of
+    the largest exponents, so no slot can overflow into the next.  The
+    monomials formed so far sit in a dict per exp factor; each sum factor
+    multiplies every one of them by every one of its terms with one int
+    addition, and equal monomials collect as they form.  Two exp factors
+    merge once per pair of them; a merge that leaves no exp (exp(ln(u)) is
+    u) adds its own exponents to the key.
     """
     coeff, mono = _monomial(f for f in factors if not isinstance(f, Sum))
-    acc = {mono: coeff} if coeff != 0 else {}
-    for s in factors:
-        if not isinstance(s, Sum):
+    sums = [f for f in factors if isinstance(f, Sum)]
+    if not sums or coeff == 0:
+        return {mono: coeff} if coeff != 0 else {}
+
+    slots: dict[Expr, int] = {}  # base -> slot
+    exps: dict[Expr, int] = {}  # exp factor -> id; id 0 is no exp factor
+
+    def split(c: int | Fraction, fs: tuple[Expr, ...]):
+        powers, eid = [], 0
+        for f in fs:
+            if isinstance(f, Exp):
+                eid = exps.setdefault(f, len(exps) + 1)
+            else:
+                base, n = _base_exponent(f)
+                powers.append((slots.setdefault(base, len(slots)), n))
+        return c, powers, eid
+
+    rows = [[split(coeff, mono)]] + [
+        [split(_exact(c), f) for c, f in map(_split_term, s.terms)] for s in sums
+    ]
+    exp_nodes = [None, *exps]
+
+    def merge(ea: int, eb: int) -> tuple[int | Fraction, int, list[tuple[int, int]]]:
+        # exp(a) * exp(b) as (rational factor, exp id, [(slot, exponent)]):
+        # exp(a + b) is one exp factor unless a + b is 0 or ln(c), a
+        # constant, or ln(u), the node u
+        if not (ea and eb):
+            return 1, ea or eb, []
+        merged = normalize(Exp(normalize(Sum((exp_nodes[ea].arg, exp_nodes[eb].arg)))))
+        if isinstance(merged, Constant):
+            return _exact(merged.value), 0, []
+        if isinstance(merged, Exp):
+            if merged not in exps:
+                exps[merged] = len(exp_nodes)
+                exp_nodes.append(merged)
+            return 1, exps[merged], []
+        base, n = _base_exponent(merged)
+        return 1, 0, [(slots.setdefault(base, len(slots)), n)]
+
+    # every exp merge a pass can meet, found before packing, so that the
+    # exponents a merge adds count toward the slot width
+    merges: dict[tuple[int, int], tuple[int | Fraction, int, list]] = {}
+    bound = 0
+    live = {rows[0][0][2]}
+    for r, row in enumerate(rows):
+        bound += max((abs(n) for _, powers, _ in row for _, n in powers), default=0)
+        if r == 0:
             continue
-        terms = [(_exact(c), f) for c, f in map(_split_term, s.terms)]
-        out: dict[tuple[Expr, ...], int | Fraction] = {}
-        for fa, ca in acc.items():
-            for ct, ft in terms:
-                c, f = _monomial(fa + ft)
-                out[f] = out.get(f, 0) + ca * ct * c
-        acc = {f: c for f, c in out.items() if c != 0}
-    return _sum_of_terms(acc)
+        reached, extra = set(), 0
+        for ea in live:
+            for eb in {eid for _, _, eid in row}:
+                if (ea, eb) not in merges:
+                    merges[(ea, eb)] = merge(ea, eb)
+                _, eo, delta = merges[(ea, eb)]
+                reached.add(eo)
+                extra = max(extra, *(abs(n) for _, n in delta), 0)
+        bound += extra
+        live = reached
+    width = bound.bit_length() + 1
+
+    def key(powers) -> int:
+        return sum(n << (width * slot) for slot, n in powers)
+
+    acc: dict[int, dict[int, int | Fraction]] = {rows[0][0][2]: {key(rows[0][0][1]): coeff}}
+    for row in rows[1:]:
+        by_exp: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for c, powers, eid in row:
+            by_exp.setdefault(eid, []).append((key(powers), c))
+        out: dict[int, dict[int, int | Fraction]] = {}
+        for ea, part in acc.items():
+            for eb, terms in by_exp.items():
+                mult, eo, delta = merges[(ea, eb)]
+                if mult != 1 or delta:
+                    shift = key(delta)
+                    terms = [(kt + shift, ct * mult) for kt, ct in terms]
+                dst = out.setdefault(eo, {})
+                for ka, ca in part.items():
+                    for kt, ct in terms:
+                        k = ka + kt
+                        dst[k] = dst.get(k, 0) + ca * ct
+        acc = {eo: {k: c for k, c in part.items() if c != 0} for eo, part in out.items()}
+
+    bases = list(slots)
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+    powers: dict[tuple[int, int], Expr] = {}  # (slot, exponent) -> factor
+    buckets: dict[tuple[Expr, ...], int | Fraction] = {}
+    for eo, part in acc.items():
+        for k, c in part.items():
+            fs = [exp_nodes[eo]] if eo else []
+            for slot, base in enumerate(bases):
+                if not k:
+                    break
+                n = k & mask
+                if n & sign:
+                    n -= 1 << width
+                k = (k - n) >> width
+                if n:
+                    f = powers.get((slot, n))
+                    if f is None:
+                        f = powers[(slot, n)] = base if n == 1 else _power(base, n)
+                    fs.append(f)
+            if len(fs) > 1:
+                fs.sort(key=_sort_key)
+            buckets[tuple(fs)] = c
+    return buckets
 
 
 def _strip_sign(e: Expr) -> tuple[int, Expr]:
@@ -395,6 +522,22 @@ def normalize(e: Expr) -> Expr:
     return _mark(_normalize(e))
 
 
+def _product_terms(e: Product) -> dict[tuple[Expr, ...], int | Fraction]:
+    """The terms of a product multiplied out, as {monomial: coefficient}."""
+    raw: list[Expr] = []
+
+    def flatten(factor: Expr) -> None:
+        if isinstance(factor, Product):
+            for f in factor.factors:
+                flatten(f)
+        else:
+            raw.append(factor)
+
+    for f in e.factors:
+        flatten(normalize(f))
+    return _multiply(raw)
+
+
 def _normalize(e: Expr) -> Expr:
     if isinstance(e, Sum):
         buckets: dict[tuple[Expr, ...], int | Fraction] = {}
@@ -408,22 +551,16 @@ def _normalize(e: Expr) -> Expr:
             buckets[factors] = buckets.get(factors, 0) + _exact(coeff)
 
         for t in e.terms:
-            absorb(normalize(t))
+            if isinstance(t, Product) and not t.__dict__.get("_norm", False):
+                # a raw product's terms go straight into the sum's buckets
+                for factors, coeff in _product_terms(t).items():
+                    buckets[factors] = buckets.get(factors, 0) + coeff
+            else:
+                absorb(normalize(t))
         return _sum_of_terms(buckets)
 
     if isinstance(e, Product):
-        raw: list[Expr] = []
-
-        def flatten(factor: Expr) -> None:
-            if isinstance(factor, Product):
-                for f in factor.factors:
-                    flatten(f)
-            else:
-                raw.append(factor)
-
-        for f in e.factors:
-            flatten(normalize(f))
-        return _multiply(raw)
+        return _sum_of_terms(_product_terms(e))
 
     if isinstance(e, Quotient):
         num = normalize(e.numerator)
@@ -434,11 +571,16 @@ def _normalize(e: Expr) -> Expr:
             return normalize(Product((num, Constant(1 / den.value))))
         if isinstance(num, Constant) and num.value == 0:
             return ZERO
-        # pull the rational coefficient of the denominator into the numerator
+        # pull the rational coefficient and the exp factors of the denominator
+        # into the numerator: c*exp(a)*u in a denominator is 1/c*exp(-a) over u
         dcoeff, dfactors = _split_term(den)
-        if dcoeff != 1:
-            num = normalize(Product((Constant(1 / dcoeff), num)))
-            den = _make_term(Fraction(1), dfactors)
+        exps = [f for f in dfactors if isinstance(f, Exp)]
+        if dcoeff != 1 or exps:
+            inverted = (Exp(Product((MINUS_ONE, f.arg))) for f in exps)
+            num = normalize(Product((Constant(1 / dcoeff), num, *inverted)))
+            den = _make_term(Fraction(1), tuple(f for f in dfactors if not isinstance(f, Exp)))
+            if den == ONE:
+                return num
         if num == den:
             return ONE
         return Quotient(num, den)
@@ -742,40 +884,110 @@ def differentiate(e: Expr, v: str) -> Expr:
         memo = n.__dict__["_d"] = {}
     d = memo.get(v)
     if d is None:
-        d = memo[v] = normalize(_diff(n, v))
+        d = memo[v] = _derivative(n, v)
     return d
 
 
-def _diff(e: Expr, v: str) -> Expr:
+def _derivative(n: Expr, v: str) -> Expr:
+    """The derivative of a normalized node, term by term and factor by factor.
+
+    A power of the coordinate ``v`` in a monomial shifts its exponent in
+    place.  Any other factor takes the product rule with its own kept
+    derivative, and that product alone is multiplied out.  A node that is
+    neither a sum nor a product takes one level of ``_diff``.
+    """
+    def d(f: Expr) -> Expr:
+        # a factor that is not its own normal form is differentiated as it
+        # stands, as the raw product rule would
+        if f is not n and _multiplies_back(f):
+            return differentiate(f, v)
+        return normalize(_diff(f, v, lambda child: differentiate(child, v)))
+
+    if not isinstance(n, (Sum, Product)):
+        return d(n)
+    buckets: dict[tuple[Expr, ...], int | Fraction] = {}
+
+    def absorb(e: Expr) -> None:
+        for c, fs in map(_split_term, e.terms if isinstance(e, Sum) else (e,)):
+            buckets[fs] = buckets.get(fs, 0) + _exact(c)
+
+    for t in n.terms if isinstance(n, Sum) else (n,):
+        if not isinstance(t, Product):
+            absorb(d(t))
+            continue
+        coeff, factors = _split_term(t)
+        shift = all(map(_multiplies_back, factors))
+        for i, f in enumerate(factors):
+            base, k = _base_exponent(f)
+            if shift and isinstance(base, Coordinate):
+                if base.name != v:
+                    continue
+                rest = factors[:i] + factors[i + 1 :]
+                if k != 1:
+                    shifted = base if k == 2 else _power(base, k - 1)
+                    rest = tuple(sorted(rest + (shifted,), key=_sort_key))
+                buckets[rest] = buckets.get(rest, 0) + _exact(coeff) * k
+                continue
+            df = d(f)
+            if not (isinstance(df, Constant) and df.value == 0):
+                term = Product((_constant(coeff), *factors[:i], df, *factors[i + 1 :]))
+                for fs, c in _product_terms(term).items():
+                    buckets[fs] = buckets.get(fs, 0) + c
+    return _sum_of_terms(buckets)
+
+
+def _multiplies_back(f: Expr) -> bool:
+    """Whether multiplying the monomial factor ``f`` out again gives ``f`` back.
+
+    Not so for a sum or a product that an exp merge left as a factor
+    (exp(ln(u)) is u), nor for a power of a quotient, a product or a sum,
+    which normalize would rewrite.  The product rule multiplies the other
+    factors out again, so the exponent shift keeps to monomials without them.
+    """
+    if isinstance(f, IntegerPower):
+        return not isinstance(f.base, (Product, Quotient, Exp)) and not (
+            isinstance(f.base, Sum) and f.exponent > 0
+        )
+    return not isinstance(f, (Sum, Product))
+
+
+def _diff(e: Expr, v: str, inner=None) -> Expr:
+    """The raw derivative by the sum, product, quotient and chain rules.
+
+    The derivatives of the children come from ``inner``; by default they are
+    this raw derivative again, all the way down.
+    """
+    if inner is None:
+        inner = lambda child: _diff(child, v)  # noqa: E731
     if isinstance(e, Constant):
         return ZERO
     if isinstance(e, Coordinate):
         return ONE if e.name == v else ZERO
     if isinstance(e, Sum):
-        return Sum(tuple(_diff(t, v) for t in e.terms))
+        return Sum(tuple(inner(t) for t in e.terms))
     if isinstance(e, Product):
         terms = []
         for i, f in enumerate(e.factors):
-            terms.append(Product(e.factors[:i] + (_diff(f, v),) + e.factors[i + 1 :]))
+            terms.append(Product(e.factors[:i] + (inner(f),) + e.factors[i + 1 :]))
         return Sum(tuple(terms))
     if isinstance(e, Quotient):
         num, den = e.numerator, e.denominator
         return Quotient(
-            Sum((Product((_diff(num, v), den)), Product((MINUS_ONE, num, _diff(den, v))))),
+            Sum((Product((inner(num), den)), Product((MINUS_ONE, num, inner(den))))),
             IntegerPower(den, 2),
         )
     if isinstance(e, IntegerPower):
         return Product(
-            (Constant(Fraction(e.exponent)), IntegerPower(e.base, e.exponent - 1), _diff(e.base, v))
+            (Constant(Fraction(e.exponent)), IntegerPower(e.base, e.exponent - 1), inner(e.base))
         )
     if isinstance(e, Exp):
-        return Product((e, _diff(e.arg, v)))
+        return Product((e, inner(e.arg)))
     if isinstance(e, Ln):
-        return Quotient(_diff(e.arg, v), e.arg)
+        return Quotient(inner(e.arg), e.arg)
     if isinstance(e, Sin):
-        return Product((Cos(e.arg), _diff(e.arg, v)))
+        return Product((Cos(e.arg), inner(e.arg)))
     if isinstance(e, Cos):
-        return Product((MINUS_ONE, Sin(e.arg), _diff(e.arg, v)))
+        return Product((MINUS_ONE, Sin(e.arg), inner(e.arg)))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -825,6 +1037,13 @@ def _exp(x: float) -> float:
         raise EvaluationError("exp overflows a float") from None
 
 
+def _pow(base: Number, n: int) -> Number:
+    try:
+        return base**n
+    except OverflowError:
+        raise EvaluationError("power overflows a float") from None
+
+
 def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
     """Evaluate at a point.  Exact rational result on rational data, float otherwise.
 
@@ -832,7 +1051,7 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
     constants enter as ints, so at a float point the arithmetic stays in
     floats and never passes through Fraction's operators; the result is the
     same float.  Raises EvaluationError on division by zero, ln of a
-    non-positive argument or an exp that overflows.
+    non-positive argument or an exp or power that overflows.
     """
     if isinstance(e, Constant):
         return _exact(e.value)
@@ -865,7 +1084,7 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
             raise EvaluationError("division by zero")
         if isinstance(base, int) and e.exponent < 0:
             base = Fraction(base)
-        return base**e.exponent
+        return _pow(base, e.exponent)
     if isinstance(e, Exp):
         return _exp(float(evaluate(e.arg, point)))
     if isinstance(e, Ln):
@@ -919,8 +1138,11 @@ def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, flo
         bv, bs = evaluate_with_scale(e.base, point)
         if bv == 0.0 and e.exponent < 0:
             raise EvaluationError("division by zero")
-        v = bv**e.exponent
-        s = bs**e.exponent if e.exponent >= 0 else abs(v)
+        v = _pow(bv, e.exponent)
+        try:
+            s = bs**e.exponent if e.exponent >= 0 else abs(v)
+        except OverflowError:
+            s = math.inf  # a scale too large for a float: the sample is not finite
         return v, max(abs(v), s)
     if isinstance(e, Exp):
         av, asc = evaluate_with_scale(e.arg, point)

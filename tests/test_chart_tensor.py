@@ -23,8 +23,9 @@ from diracjacobi.chart_tensor import (
     sharp,
     wedge,
 )
-from diracjacobi.symcalc import ONE, ZERO, normalize, parse
+from diracjacobi.symcalc import ONE, ZERO, differentiate, normalize, parse
 
+from conftest import RandomTensors
 from oracles import (
     dense_exterior_derivative,
     dense_form,
@@ -336,3 +337,74 @@ class TestSharp:
             pairing = float(av @ A @ bv)
             value = float(bv @ got.at(p))
             assert abs(pairing - value) < 1e-9 * (1 + abs(pairing))
+
+
+def folded(pairs):
+    """Each coefficient summed by repeated + in the order its terms arrive."""
+    table = {}
+    for key, term in pairs:
+        table[key] = table[key] + term if key in table else term
+    return {k: v for k, v in sorted(table.items()) if v != ZERO}
+
+
+def signed_key(idx):
+    """(sorted index, sign of the sorting permutation), or (None, 0) on a repeat."""
+    if len(set(idx)) < len(idx):
+        return None, 0
+    inversions = sum(a > b for i, a in enumerate(idx) for b in idx[i + 1 :])
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
+
+
+class TestOnePassCoefficients:
+    """Each operator normalizes a coefficient once; the result is the folded sum."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def rand(self, r3, request):
+        return RandomTensors(r3, seed=request.param)
+
+    def test_wedge(self, rand):
+        for p, q in [(1, 1), (1, 2), (2, 1)]:
+            a, b = rand.form(p), rand.form(q)
+            want = []
+            for ia, va in a.entries:
+                for ib, vb in b.entries:
+                    key, sign = signed_key(ia + ib)
+                    if key is not None:
+                        want.append((key, va * vb if sign > 0 else -(va * vb)))
+            assert dict(wedge(a, b).entries) == folded(want)
+
+    def test_interior_product(self, rand):
+        X = rand.vector_field()
+        for degree in (1, 2, 3):
+            omega = rand.form(degree)
+            want = [
+                (idx[:pos] + idx[pos + 1 :], X.components[i] * a if pos % 2 == 0
+                 else -(X.components[i] * a))
+                for idx, a in omega.entries
+                for pos, i in enumerate(idx)
+            ]
+            assert dict(interior_product(X, omega).entries) == folded(want)
+
+    def test_exterior_derivative(self, rand):
+        coords = rand.chart.coords
+        for degree in (0, 1, 2):
+            omega = rand.form(degree)
+            want = []
+            for idx, a in omega.entries:
+                for j, name in enumerate(coords):
+                    key, sign = signed_key((j,) + idx)
+                    if key is not None:
+                        da = differentiate(a, name)
+                        want.append((key, da if sign > 0 else -da))
+            assert dict(exterior_derivative(omega).entries) == folded(want)
+
+    def test_lie_bracket(self, rand):
+        X, Y = rand.vector_field(), rand.vector_field()
+        coords = rand.chart.coords
+        want = []
+        for i in range(len(coords)):
+            for j, name in enumerate(coords):
+                want.append(((i,), X.components[j] * differentiate(Y.components[i], name)))
+                want.append(((i,), -(Y.components[j] * differentiate(X.components[i], name))))
+        got = folded(want)
+        assert lie_bracket(X, Y).components == tuple(got.get((i,), ZERO) for i in range(3))

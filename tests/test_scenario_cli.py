@@ -224,6 +224,21 @@ def test_huge_exact_sample_fails_with_a_finite_witness(tmp_path, capsys):
     assert math.isfinite(value) and abs(value) == check["residual_max"] > 1e300
 
 
+def test_power_overflow_at_a_float_sample_is_resampled(tmp_path, capsys):
+    # exp(x) makes the samples floats; at seed 3 x^2000 overflows a float at
+    # one of them, which is a singular sample, not an internal error
+    p = tmp_path / "huge.scn"
+    p.write_text('name: huge\ncharts: {M: [x, y]}\n'
+                 'checks: [{check: expr-zero, chart: M, expr: "exp(x) + x^2000 - y^2000", '
+                 'expect: fail}]\n')
+    report_path = tmp_path / "huge.json"
+    assert main(["run", str(p), "--seed", "3", "--report", str(report_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (check,) = json.loads(report_path.read_text())["checks"]
+    assert check["verdict"] == "FAIL" and check["mode"] == "sampled"
+    assert math.isfinite(check["witness"]["value"])
+
+
 def test_unexpected_exception_is_an_internal_error(tiny, monkeypatch):
     def boom(policy, name, **args):
         raise RuntimeError("runner fault")

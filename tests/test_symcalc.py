@@ -26,6 +26,7 @@ from diracjacobi.symcalc import (
     Sum,
     UnknownSymbolError,
     ZeroVerdict,
+    _Parser,
     _diff,
     check_zero_all,
     differentiate,
@@ -138,6 +139,12 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(parse("exp(1000*x)", ("x",)), {"x": 1})
 
+    def test_power_overflow_is_singular(self):
+        e = parse("x^2000", ("x",))
+        for fn in (evaluate, evaluate_with_scale):
+            with pytest.raises(EvaluationError):
+                fn(e, {"x": 1.5})
+
     def test_ln_domain(self):
         with pytest.raises(EvaluationError):
             evaluate(parse("ln(x)", ("x",)), {"x": -1})
@@ -186,8 +193,11 @@ class TestIsZero:
 # -- hypothesis strategies over the expression grammar ------------------------
 
 
-def exprs(coords=XYT, max_leaves=8, functions=(Exp, Ln, Sin, Cos)):
-    """Raw expression trees; ``functions=()`` leaves only rational ones."""
+def exprs(coords=XYT, max_leaves=8, functions=(Exp, Ln, Sin, Cos), exponents=st.integers(0, 3)):
+    """Raw expression trees; ``functions=()`` leaves only rational ones.
+
+    ``exponents`` draws the integer powers; a negative one inverts its base.
+    """
     leaves = st.one_of(
         st.integers(-4, 4).map(lambda n: Constant(Fraction(n))),
         st.sampled_from([Coordinate(c) for c in coords]),
@@ -197,7 +207,7 @@ def exprs(coords=XYT, max_leaves=8, functions=(Exp, Ln, Sin, Cos)):
         return st.one_of(
             st.tuples(children, children).map(lambda ab: Sum(ab)),
             st.tuples(children, children).map(lambda ab: Product(ab)),
-            st.tuples(children, st.integers(0, 3)).map(lambda bn: IntegerPower(*bn)),
+            st.tuples(children, exponents).map(lambda bn: IntegerPower(*bn)),
             *(children.map(fn) for fn in functions),
             children.map(lambda e: -e),
         )
@@ -339,6 +349,75 @@ def test_rational_evaluation_is_exact(e, point):
         got = evaluate(x, point)
         assert isinstance(got, (int, Fraction))
         assert got == Fraction(int(want.p), int(want.q))
+
+
+NEGATIVE_POWERS = st.integers(-2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*(exprs(functions=(Exp,), exponents=NEGATIVE_POWERS, max_leaves=5) for _ in range(4)))
+def test_products_with_inverted_sums_and_exps_agree_with_sympy(a, b, c, d):
+    # (a + exp(b)) * (c + exp(d)): exp factors on both sides, whose merges
+    # the multiplication memoizes, and negative powers of sums among the atoms
+    e = Product((Sum((a, Exp(b))), Sum((c, Exp(d)))))
+    assert sympy_equal(to_sympy(normalize(e)), to_sympy(e))
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # exp(ln(x)/2)^2 merges to exp(ln(x)), which is the coordinate x
+        ("(exp(ln(x)/2) + y)^2", "x + y^2 + 2*y*exp(1/2*ln(x))"),
+        ("(exp(ln(x)/2) + x)^2", "x + x^2 + 2*x*exp(1/2*ln(x))"),
+        ("(exp(ln(2)/2) + y)^2", "2 + y^2 + 2*y*exp(1/2*ln(2))"),
+        ("(exp(ln(x)/2)*y + exp(-ln(x)/2))*(exp(ln(x)/2) + x^-1)",
+         "1 + x*y + y*x^-1*exp(1/2*ln(x)) + x^-1*exp(-(1/2*ln(x)))"),
+    ],
+)
+def test_an_exp_merge_that_leaves_no_exp(text, want):
+    got = parse(text, XY)
+    assert got == parse(want, XY)
+    assert render(got) == want
+    assert sympy_equal(to_sympy(got), to_sympy(_Parser(text, XY).parse()))
+
+
+def test_exp_factors_of_a_denominator_move_to_the_numerator():
+    assert parse("exp(x)/exp(1/2*x)", XY) == parse("exp(1/2*x)", XY)
+    assert render(parse("1/(2*exp(x)*y)", XY)) == "1/2*exp(-x)/y"
+    assert parse("(x + y)/exp(x)", XY) == parse("x*exp(-x) + y*exp(-x)", XY)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x^-2",
+        "3*x^-2*y^3 - x^4*y + 2",
+        "exp(x*y)*x^-1 + exp(2*x)*y^2",
+        "(1 + x^2)^-2*x^3*y",
+        "x^2/(1 + x*y)*exp(x)",
+        "y*ln(1 + x^2)*x^-3 + sin(x*y)*x",
+    ],
+)
+def test_exponent_shift_derivative_agrees_with_sympy(text):
+    sympy = pytest.importorskip("sympy")
+    e = parse(text, XY)
+    for v in XY:
+        got = differentiate(e, v)
+        assert got == normalize(_diff(e, v))
+        want = sympy.diff(to_sympy(e), sympy.Symbol(v, real=True))
+        assert sympy.simplify(to_sympy(got) - want) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    exprs(),
+    st.dictionaries(st.sampled_from(XYT), exprs(max_leaves=4, exponents=NEGATIVE_POWERS)),
+)
+def test_substitute_agrees_with_sympy(e, assignment):
+    want = to_sympy(e).subs(
+        {to_sympy(Coordinate(c)): to_sympy(a) for c, a in assignment.items()}, simultaneous=True
+    )
+    assert sympy_equal(to_sympy(substitute(e, assignment)), want)
 
 
 def test_substitute():
