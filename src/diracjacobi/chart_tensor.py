@@ -19,6 +19,7 @@ their sum once, rather than folding the terms in one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -99,7 +100,9 @@ def _check_expr_coords(chart: Chart, e: Expr, what: str) -> None:
 
 def _signed(sign: int, *factors: Expr) -> Expr:
     """The raw product sign * factors, for a coefficient still being collected."""
-    return Product(factors if sign > 0 else (MINUS_ONE, *factors))
+    if sign > 0:
+        return factors[0] if len(factors) == 1 else Product(factors)
+    return Product((MINUS_ONE, *factors))
 
 
 def _total(terms: Sequence[Expr]) -> Expr:
@@ -357,12 +360,18 @@ class Multivector(_AlternatingTable):
 
 def differential(chart: Chart, f: Expr) -> DifferentialForm:
     """The 1-form df on the chart."""
-    table = {}
+    return DifferentialForm(chart, 1, _totals(_differential_terms(chart, f, {})))
+
+
+def _differential_terms(chart: Chart, f: Expr, table, sign: int = 1, by: tuple[Expr, ...] = ()):
+    """Add the raw terms of sign * by * df to ``table``; a zero factor in ``by`` adds none."""
+    if any(map(is_structurally_zero, by)):
+        return table
     for i, name in enumerate(chart.coords):
         d = differentiate(f, name)
         if not is_structurally_zero(d):
-            table[(i,)] = d
-    return DifferentialForm(chart, 1, table)
+            table.setdefault((i,), []).append(_signed(sign, *by, d))
+    return table
 
 
 def coordinate_form(chart: Chart, name: str) -> DifferentialForm:
@@ -412,15 +421,20 @@ def interior_product(X: VectorField, omega: DifferentialForm) -> DifferentialFor
     _require_same_chart(X, omega)
     if omega.degree < 1:
         raise ChartError("interior product needs degree >= 1")
-    table: dict[tuple[int, ...], list[Expr]] = {}
+    return DifferentialForm(omega.chart, omega.degree - 1, _totals(_interior_terms(X, omega, {})))
+
+
+def _interior_terms(X: VectorField, omega: DifferentialForm, table, sign: int = 1,
+                    by: tuple[Expr, ...] = ()):
+    """Add the raw terms of sign * by * i_X omega to ``table``."""
     for idx, a in omega.entries:
         for pos, i in enumerate(idx):
             xi = X.components[i]
             if is_structurally_zero(xi):
                 continue
             key = idx[:pos] + idx[pos + 1 :]
-            table.setdefault(key, []).append(_signed(-1 if pos % 2 else 1, xi, a))
-    return DifferentialForm(omega.chart, omega.degree - 1, _totals(table))
+            table.setdefault(key, []).append(_signed(-sign if pos % 2 else sign, *by, xi, a))
+    return table
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -445,22 +459,26 @@ def lie_derivative(X: VectorField, omega: DifferentialForm) -> DifferentialForm:
     chart = omega.chart
     if omega.degree == 0:
         return DifferentialForm.from_scalar(chart, X.apply(omega.scalar()))
-    from itertools import combinations
+    return DifferentialForm(chart, omega.degree, _totals(_lie_terms(X, omega, {})))
 
-    table: dict[tuple[int, ...], list[Expr]] = {}
+
+def _lie_terms(X: VectorField, omega: DifferentialForm, table, sign: int = 1):
+    """Add the raw terms of sign * L_X omega, degree >= 1, to ``table``."""
+    chart = omega.chart
+    entries = dict(omega.entries)
     for idx, a in omega.entries:
-        table[idx] = X._apply_terms(a, 1)
+        table.setdefault(idx, []).extend(X._apply_terms(a, sign))
     for I in combinations(range(chart.dim), omega.degree):
         for p in range(len(I)):
             for j in range(chart.dim):
                 dX = differentiate(X.components[j], chart.coords[I[p]])
                 if is_structurally_zero(dX):
                     continue
-                w = omega.coefficient(I[:p] + (j,) + I[p + 1 :])
-                if is_structurally_zero(w):
-                    continue
-                table.setdefault(I, []).append(_signed(1, dX, w))
-    return DifferentialForm(chart, omega.degree, _totals(table))
+                key, s = _sorted_index(I[:p] + (j,) + I[p + 1 :])
+                w = entries.get(key)
+                if w is not None:
+                    table.setdefault(I, []).append(_signed(sign * s, dX, w))
+    return table
 
 
 @dataclass(frozen=True)

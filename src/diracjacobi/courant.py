@@ -22,23 +22,19 @@ from .chart_tensor import (
     ChartError,
     DifferentialForm,
     VectorField,
-    differential,
-    exterior_derivative,
-    interior_product,
-    lie_bracket,
-    lie_derivative,
+    _differential_terms,
+    _interior_terms,
+    _lie_terms,
     _require_same_chart,
+    _signed,
+    _total,
+    _totals,
+    exterior_derivative,
+    lie_bracket,
 )
-from .symcalc import Expr, ZERO, as_expr, evaluate, is_structurally_zero, normalize
+from .symcalc import Expr, ONE, ZERO, as_expr, evaluate, is_structurally_zero, normalize
 
-
-from fractions import Fraction
-
-HALF = as_expr(Fraction(1, 2))
-
-
-def _half(e: Expr) -> Expr:
-    return HALF * e
+HALF = ONE / 2
 
 
 @dataclass(frozen=True)
@@ -144,48 +140,31 @@ class SectionE1:
 
 
 # --------------------------------------------------------------------------
-# pairings
+# pairings and brackets: the signed raw terms of each output coefficient are
+# collected from the operators' own table builders and normalized once
 # --------------------------------------------------------------------------
 
 
 def pairing_tm(a: SectionTM, b: SectionTM) -> Expr:
     """<X1 + xi1, X2 + xi2> = (xi1(X2) + xi2(X1)) / 2."""
     _require_same_chart(a.X, b.X)
-    return _half(
-        interior_product(b.X, a.xi).scalar() + interior_product(a.X, b.xi).scalar()
-    )
+    terms = _interior_terms(b.X, a.xi, {}, by=(HALF,))
+    return _total(_interior_terms(a.X, b.xi, terms, by=(HALF,)).get((), []))
 
 
 def pairing_e1(a: SectionE1, b: SectionE1) -> Expr:
     """<(X1,f1)+(xi1,g1), (X2,f2)+(xi2,g2)> = (i_{X2} xi1 + i_{X1} xi2 + f1 g2 + f2 g1)/2."""
     _require_same_chart(a.X, b.X)
-    return _half(
-        interior_product(b.X, a.xi).scalar()
-        + interior_product(a.X, b.xi).scalar()
-        + a.f * b.g
-        + b.f * a.g
-    )
-
-
-# --------------------------------------------------------------------------
-# brackets
-# --------------------------------------------------------------------------
+    terms = _interior_terms(b.X, a.xi, {}, by=(HALF,))
+    terms = _interior_terms(a.X, b.xi, terms, by=(HALF,)).get((), [])
+    return _total(terms + [_signed(1, HALF, a.f, b.g), _signed(1, HALF, b.f, a.g)])
 
 
 def courant_bracket(a: SectionTM, b: SectionTM) -> SectionTM:
     """[X1+xi1, X2+xi2] = [X1,X2] + L_{X1} xi2 - i_{X2} d xi1 (not skew in general)."""
     _require_same_chart(a.X, b.X)
-    return SectionTM(
-        lie_bracket(a.X, b.X),
-        lie_derivative(a.X, b.xi) - interior_product(b.X, exterior_derivative(a.xi)),
-    )
-
-
-def _scaled_differential(chart: Chart, u: Expr, h: Expr) -> DifferentialForm:
-    """h du, built only when neither h nor u is structurally zero."""
-    if is_structurally_zero(h) or is_structurally_zero(u):
-        return DifferentialForm.zero(chart, 1)
-    return differential(chart, u).scale(h)
+    form = _interior_terms(b.X, exterior_derivative(a.xi), _lie_terms(a.X, b.xi, {}), -1)
+    return SectionTM(lie_bracket(a.X, b.X), DifferentialForm(a.chart, 1, _totals(form)))
 
 
 def extended_courant_bracket(a: SectionE1, b: SectionE1) -> SectionE1:
@@ -199,23 +178,21 @@ def extended_courant_bracket(a: SectionE1, b: SectionE1) -> SectionE1:
     """
     _require_same_chart(a.X, b.X)
     chart = a.chart
-    i21 = interior_product(b.X, a.xi).scalar()  # i_{X2} xi1
-    i12 = interior_product(a.X, b.xi).scalar()  # i_{X1} xi2
+    skew = _interior_terms(a.X, b.xi, _interior_terms(b.X, a.xi, {}), -1).get((), [])
+    skew = _total(skew)  # i_{X2} xi1 - i_{X1} xi2
 
-    vector = lie_bracket(a.X, b.X)
-    f_slot = a.X.apply(b.f) - b.X.apply(a.f)
-    form = (
-        lie_derivative(a.X, b.xi)
-        - lie_derivative(b.X, a.xi)
-        + _scaled_differential(chart, i21 - i12, HALF)
-        + b.xi.scale(a.f)
-        - a.xi.scale(b.f)
-        + (
-            _scaled_differential(chart, a.f, b.g)
-            - _scaled_differential(chart, b.f, a.g)
-            - _scaled_differential(chart, b.g, a.f)
-            + _scaled_differential(chart, a.g, b.f)
-        ).scale(HALF)
-    )
-    g_slot = a.X.apply(b.g) - b.X.apply(a.g) + _half(i21 - i12 - b.f * a.g + a.f * b.g)
-    return SectionE1(vector, f_slot, form, g_slot)
+    form = _lie_terms(b.X, a.xi, _lie_terms(a.X, b.xi, {}), -1)
+    _differential_terms(chart, skew, form, by=(HALF,))
+    for sign, h, xi in ((1, a.f, b.xi), (-1, b.f, a.xi)):
+        if not is_structurally_zero(h):
+            for idx, c in xi.entries:
+                form.setdefault(idx, []).append(_signed(sign, h, c))
+    for sign, u, h in ((1, a.f, b.g), (-1, b.f, a.g), (-1, b.g, a.f), (1, a.g, b.f)):
+        _differential_terms(chart, u, form, sign, by=(HALF, h))
+
+    f_slot = a.X._apply_terms(b.f, 1) + b.X._apply_terms(a.f, -1)
+    g_slot = a.X._apply_terms(b.g, 1) + b.X._apply_terms(a.g, -1) + [
+        _signed(1, HALF, skew), _signed(-1, HALF, b.f, a.g), _signed(1, HALF, a.f, b.g)
+    ]
+    form = DifferentialForm(chart, 1, _totals(form))
+    return SectionE1(lie_bracket(a.X, b.X), _total(f_slot), form, _total(g_slot))

@@ -6,13 +6,14 @@ defining axioms are decided by a mix of structural normalization and
 deterministic randomized sampling:
 
 * maximal isotropy: every pairwise pairing of generators vanishes, and the
-  generator span has full expected rank (n over TM + T*M, n+1 over E1) at
-  every sampled point;
+  generator span has full expected rank (n over TM + T*M, n+1 over E1).  The
+  rank is the pivot count of one exact elimination of the generator matrix,
+  kept on the frame; it holds at every point when every pivot is certified
+  nonvanishing, and is otherwise checked at sampled points;
 * involutivity: the (extended) Courant bracket of every generator pair lies
-  in the generator span.  FrameSubbundle.expand solves for the frame
-  coefficients of a section by exact Gaussian elimination; the rows it leaves
-  over vanish exactly when the section lies in the span, and they are
-  zero-tested like any other identity.
+  in the generator span.  FrameSubbundle.expand replays the elimination's row
+  operations on the section; the rows it leaves over vanish exactly when the
+  section lies in the span, and they are zero-tested like any other identity.
 
 The construction catalogue covers structures induced by a 1-form, by a
 bivector/vector-field pair, by lifting a Dirac structure into E1, graphs of
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -35,6 +37,8 @@ from .chart_tensor import (
     Multivector,
     SmoothMap,
     VectorField,
+    _signed,
+    _total,
     coordinate_field,
     coordinate_form,
     differential,
@@ -70,6 +74,7 @@ from .symcalc import (
     as_expr,
     check_zero_all,
     coord,
+    is_nonvanishing,
     is_structurally_zero,
     normalize,
 )
@@ -92,7 +97,44 @@ class Expansion(NamedTuple):
 
     coefficients: tuple[Expr, ...]
     leftover: tuple[Expr, ...]
-    rank: int  # pivot count: the rank of the frame at a point in generic position
+    rank: int  # pivot count: the rank of the frame wherever no pivot vanishes
+
+
+class Elimination(NamedTuple):
+    """A frame's generator matrix, eliminated once.  Each step divides its pivot
+    row by the pivot, then subtracts factor times that row from each listed
+    row; replayed on a section's column, the steps expand the section."""
+
+    pivots: dict[int, int]  # column -> pivot row
+    steps: tuple[tuple[int, Expr, tuple[tuple[int, Expr], ...]], ...]  # (row, pivot, ops)
+    free_rows: tuple[int, ...]  # rows without a pivot
+
+
+def _replay(step, rows: list[list[Expr]]) -> None:
+    pr, pivot, ops = step
+    if pivot != ONE:
+        rows[pr] = [normalize(Quotient(v, pivot)) for v in rows[pr]]
+    for r, factor in ops:
+        rows[r] = [v if is_structurally_zero(p) else _total([v, _signed(-1, factor, p)])
+                   for v, p in zip(rows[r], rows[pr])]
+
+
+def _eliminate(columns: list[list[Expr]], height: int) -> Elimination:
+    """Gauss-Jordan elimination, column by column.  A pivot is a nonzero constant
+    when the column has one, else a certified nonvanishing entry, else its first
+    structurally nonzero entry; a column with none left gets no pivot."""
+    rows = [[c[r] for c in columns] for r in range(height)]
+    pivots, steps = {}, []
+    for col in range(len(columns)):
+        nonzero = [r for r in range(height) if not is_structurally_zero(rows[r][col])]
+        free = [r for r in nonzero if r not in pivots.values()]
+        if free:
+            good = (lambda e: isinstance(e, Constant), is_nonvanishing)
+            pr = pivots[col] = next((r for ok in good for r in free if ok(rows[r][col])), free[0])
+            steps.append((pr, rows[pr][col], tuple((r, rows[r][col]) for r in nonzero if r != pr)))
+            _replay(steps[-1], rows)
+    free_rows = tuple(r for r in range(height) if r not in pivots.values())
+    return Elimination(pivots, tuple(steps), free_rows)
 
 
 @dataclass(frozen=True)
@@ -130,49 +172,29 @@ class FrameSubbundle:
         return np.column_stack(cols) if cols else np.zeros((self.fiber_dim, 0))
 
     def pairing(self, i: int, j: int) -> Expr:
-        a, b = self.generators[i], self.generators[j]
-        if self.ambient is Ambient.TM_TSTAR:
-            return pairing_tm(a, b)
-        return pairing_e1(a, b)
+        tm = self.ambient is Ambient.TM_TSTAR
+        return (pairing_tm if tm else pairing_e1)(self.generators[i], self.generators[j])
 
     def bracket(self, i: int, j: int) -> Section:
-        a, b = self.generators[i], self.generators[j]
-        if self.ambient is Ambient.TM_TSTAR:
-            return courant_bracket(a, b)
-        return extended_courant_bracket(a, b)
+        tm = self.ambient is Ambient.TM_TSTAR
+        return (courant_bracket if tm else extended_courant_bracket)(
+            self.generators[i], self.generators[j])
+
+    @cached_property
+    def elimination(self) -> Elimination:
+        """The generator matrix eliminated once; every rank and expansion reads it."""
+        return _eliminate([g.rows() for g in self.generators], self.fiber_dim)
 
     def expand(self, s: Section) -> Expansion:
-        """Solve sum_k c_k e_k = s for expressions c_k by Gauss-Jordan elimination.
-
-        A pivot is a nonzero constant when the column has one, else its first
-        structurally nonzero entry (generic-position assumption).  A column
-        with no structurally nonzero entry left depends on the earlier
-        generators: it gets coefficient 0 and no pivot.
-        """
-        k = len(self.generators)
-        rows = [list(r) for r in zip(*(g.rows() for g in self.generators), s.rows())]
-        pivots: dict[int, int] = {}  # column -> pivot row
-        for col in range(k):
-            free = [
-                r for r, row in enumerate(rows)
-                if r not in pivots.values() and not is_structurally_zero(row[col])
-            ]
-            if not free:
-                continue
-            constant = [r for r in free if isinstance(rows[r][col], Constant)]
-            pr = pivots[col] = (constant or free)[0]
-            rows[pr] = [normalize(Quotient(v, rows[pr][col])) for v in rows[pr]]
-            for r, row in enumerate(rows):
-                if r != pr and not is_structurally_zero(row[col]):
-                    rows[r] = [
-                        v if is_structurally_zero(p) else v - row[col] * p
-                        for v, p in zip(row, rows[pr])
-                    ]
-        return Expansion(
-            tuple(rows[pivots[c]][k] if c in pivots else ZERO for c in range(k)),
-            tuple(row[k] for r, row in enumerate(rows) if r not in pivots.values()),
-            len(pivots),
-        )
+        """Solve sum_k c_k e_k = s for expressions c_k: the elimination replayed on s."""
+        elim = self.elimination
+        column = [[v] for v in s.rows()]
+        for step in elim.steps:
+            _replay(step, column)
+        coefficients = (column[elim.pivots[c]][0] if c in elim.pivots else ZERO
+                        for c in range(len(self.generators)))
+        return Expansion(tuple(coefficients), tuple(column[r][0] for r in elim.free_rows),
+                         len(elim.pivots))
 
 
 @dataclass(frozen=True)
@@ -216,14 +238,8 @@ def construct_L_theta(theta: DifferentialForm) -> FrameSubbundle:
     gens: list[SectionE1] = []
     for name in chart.coords:
         X = coordinate_field(chart, name)
-        gens.append(
-            SectionE1(
-                X,
-                ZERO,
-                interior_product(X, dtheta),
-                normalize(as_expr(-1) * interior_product(X, theta).scalar()),
-            )
-        )
+        g = normalize(as_expr(-1) * interior_product(X, theta).scalar())
+        gens.append(SectionE1(X, ZERO, interior_product(X, dtheta), g))
     gens.append(SectionE1(VectorField.zero(chart), ONE, theta, ZERO))
     return FrameSubbundle(Ambient.E1, chart, tuple(gens), chart.dim + 1)
 
@@ -238,14 +254,8 @@ def construct_L_jacobi(Lam: Multivector, E: VectorField) -> FrameSubbundle:
     gens: list[SectionE1] = []
     for name in chart.coords:
         alpha = coordinate_form(chart, name)
-        gens.append(
-            SectionE1(
-                sharp(Lam, alpha),
-                normalize(as_expr(-1) * interior_product(E, alpha).scalar()),
-                alpha,
-                ZERO,
-            )
-        )
+        f = normalize(as_expr(-1) * interior_product(E, alpha).scalar())
+        gens.append(SectionE1(sharp(Lam, alpha), f, alpha, ZERO))
     gens.append(SectionE1(E, ZERO, DifferentialForm.zero(chart, 1), ONE))
     return FrameSubbundle(Ambient.E1, chart, tuple(gens), chart.dim + 1)
 
@@ -294,14 +304,8 @@ def construct_two_form_pair(omega: DifferentialForm, mu: DifferentialForm) -> Fr
     gens: list[SectionE1] = []
     for name in chart.coords:
         X = coordinate_field(chart, name)
-        gens.append(
-            SectionE1(
-                X,
-                normalize(as_expr(-1) * interior_product(X, mu).scalar()),
-                interior_product(X, omega),
-                ZERO,
-            )
-        )
+        f = normalize(as_expr(-1) * interior_product(X, mu).scalar())
+        gens.append(SectionE1(X, f, interior_product(X, omega), ZERO))
     gens.append(SectionE1(VectorField.zero(chart), ZERO, mu, ONE))
     return FrameSubbundle(Ambient.E1, chart, tuple(gens), chart.dim + 1)
 
@@ -316,14 +320,7 @@ def conformal_change(L: FrameSubbundle, factor: ConformalFactor) -> FrameSubbund
     gens = []
     for s in L.generators:
         mu_X = interior_product(s.X, mu).scalar()
-        gens.append(
-            SectionE1(
-                s.X,
-                s.f - mu_X,
-                (s.xi + mu.scale(s.g)).scale(phi),
-                phi * s.g,
-            )
-        )
+        gens.append(SectionE1(s.X, s.f - mu_X, (s.xi + mu.scale(s.g)).scale(phi), phi * s.g))
     return FrameSubbundle(Ambient.E1, L.chart, tuple(gens), L.rank)
 
 
@@ -368,6 +365,14 @@ def check_maximal_isotropy(
             )
             f.zero(rep, f"pairing of generators ({i}, {j}) is nonzero", pair=[i, j])
 
+    # with every pivot nonvanishing, the pivot count is the rank at every point
+    uncertified = [p for _, p, _ in L.elimination.steps if not is_nonvanishing(p)]
+    if not uncertified:
+        rank = len(L.elimination.pivots)
+        if rank != L.expected_rank:
+            f.fail(f"rank {rank} instead of {L.expected_rank}", {"rank": rank})
+        return f.result()
+    f.note(f"rank sampled: pivot {uncertified[0]} is not certified nonvanishing")
     deficient = []
     for point in policy.float_points(L.chart.coords, f"{name}:rank"):
         r = matrix_rank(L.fiber_matrix_at(point), DEFAULT_RTOL)
@@ -379,7 +384,7 @@ def check_maximal_isotropy(
             f"rank {r} instead of {L.expected_rank} at {len(deficient)} sampled point(s)",
             {"point": point, "rank": r},
         )
-    return f.result()
+    return f.result(mode="sampled")
 
 
 def check_involutivity(
@@ -387,7 +392,7 @@ def check_involutivity(
 ) -> CheckResult:
     """Every generator bracket lies in the generator span: the rows its frame
     expansion leaves over are zero-tested."""
-    rank = L.expand(L.generators[0]).rank  # the pivots do not depend on the section
+    rank = len(L.elimination.pivots)
     if rank != L.expected_rank:
         return error_result(
             name, f"frame is rank-deficient: rank {rank} instead of {L.expected_rank}"
@@ -425,15 +430,6 @@ def check_structures_equal(
             f.fail(witness={"point": point})
             break
     return f.result(mode="sampled")
-
-
-def _flip_form_rows(M: np.ndarray, ambient: Ambient, n: int) -> np.ndarray:
-    out = M.copy()
-    if ambient is Ambient.TM_TSTAR:
-        out[n:, :] *= -1.0
-    else:
-        out[n + 1 :, :] *= -1.0
-    return out
 
 
 def check_forward_map(
@@ -490,8 +486,8 @@ def check_forward_map(
         sols = null_space(perp @ E, DEFAULT_RTOL)
         pushed = D @ sols
         target = L_dst.fiber_matrix_at(q)
-        if anti:
-            target = _flip_form_rows(target, L_dst.ambient, n)
+        if anti:  # negate the form half: rows from n on, or after the f row over E1
+            target[n + (L_dst.ambient is Ambient.E1) :, :] *= -1.0
         expected = L_dst.expected_rank
         got = matrix_rank(pushed, DEFAULT_RTOL)
         if got != expected and not f.details:

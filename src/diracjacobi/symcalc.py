@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import re
 import sys
 import weakref
 import zlib
@@ -671,51 +672,59 @@ def is_rational(e: Expr) -> bool:
     return False
 
 
+def is_nonvanishing(e: Expr) -> bool:
+    """True when ``e`` is certified to vanish nowhere: a nonzero constant, exp(a)
+    with a free of quotients, negative powers and ln, or a product or integer
+    power of such factors."""
+    if isinstance(e, (Product, IntegerPower)):
+        return all(map(is_nonvanishing, e.factors if isinstance(e, Product) else (e.base,)))
+    if isinstance(e, Exp):
+        return _defined_everywhere(e.arg)
+    return isinstance(e, Constant) and e.value != 0
+
+
+def _defined_everywhere(e: Expr) -> bool:
+    """No quotient, negative power or ln anywhere in ``e``."""
+    if isinstance(e, (Sum, Product)):
+        return all(map(_defined_everywhere, e.terms if isinstance(e, Sum) else e.factors))
+    if isinstance(e, IntegerPower):
+        return e.exponent >= 0 and _defined_everywhere(e.base)
+    if isinstance(e, (Exp, Sin, Cos)):
+        return _defined_everywhere(e.arg)
+    return isinstance(e, (Constant, Coordinate))
+
+
 # --------------------------------------------------------------------------
 # parsing
 # --------------------------------------------------------------------------
 
 
+# a number, identifier or operator after any whitespace; else the end or a bad character
+_TOKEN = re.compile(r"\s*(?:([0-9]+(?:\.[0-9]*)?|\.[0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))?")
+_KINDS = (None, "number", "ident", "op")
+
+
 class _Tokenizer:
+    """The tokens of a text, scanned once; a bad character raises when it is reached."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.tokens, self.index, m = [], 0, _TOKEN.match(text)
+        while m.lastindex:
+            self.tokens.append((_KINDS[m.lastindex], m[m.lastindex], m.start(m.lastindex)))
+            m = _TOKEN.match(text, m.end())
+        end = m.end()
+        self.tokens.append(("end", "", end) if end == len(text) else ("bad", text[end], end))
 
     def peek(self) -> tuple[str, str, int]:
-        pos = self.pos
-        text = self.text
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            return ("end", "", pos)
-        ch = text[pos]
-        def is_digit(c):
-            return "0" <= c <= "9"
-
-        def is_ident_start(c):
-            return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
-
-        if is_digit(ch) or (ch == "." and pos + 1 < len(text) and is_digit(text[pos + 1])):
-            j = pos
-            seen_dot = False
-            while j < len(text) and (is_digit(text[j]) or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            return ("number", text[pos:j], pos)
-        if is_ident_start(ch):
-            j = pos
-            while j < len(text) and (is_ident_start(text[j]) or is_digit(text[j])):
-                j += 1
-            return ("ident", text[pos:j], pos)
-        if ch in "+-*/^()":
-            return ("op", ch, pos)
-        raise ExprSyntaxError(f"unexpected character '{ch}'", pos)
+        kind, value, pos = token = self.tokens[self.index]
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character '{value}'", pos)
+        return token
 
     def next(self) -> tuple[str, str, int]:
-        kind, value, pos = self.peek()
-        self.pos = pos + len(value) if kind != "end" else pos
-        return (kind, value, pos)
+        token = self.peek()
+        self.index += token[0] != "end"
+        return token
 
 
 class _Parser:

@@ -1,20 +1,33 @@
 """Independent numeric oracles for the derived expected values.
 
-Everything here avoids the package's symbolic differentiation and sparse
+The numeric oracles avoid the package's symbolic differentiation and sparse
 index bookkeeping: derivatives come from central finite differences, flows
 from RK4 integration, and alternating tensors from dense sign tables, so a
-bug in the symbolic path cannot hide in the oracle.
+bug in the symbolic path cannot hide in the oracle.  The symbolic references
+at the end keep earlier, simpler implementations of the brackets, pairings
+and tokenizer that the faster ones must agree with.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from diracjacobi.symcalc import evaluate
+from diracjacobi.chart_tensor import (
+    DifferentialForm,
+    differential,
+    exterior_derivative,
+    interior_product,
+    lie_bracket,
+    lie_derivative,
+)
+from diracjacobi.courant import SectionE1, SectionTM
+from diracjacobi.symcalc import ExprSyntaxError, as_expr, evaluate, is_structurally_zero
 
 H = 1e-6
+HALF = as_expr(Fraction(1, 2))
 
 
 def fd_partial(fn, point: dict, name: str, h: float = H) -> float:
@@ -283,3 +296,108 @@ def fd_extended_bracket(a, b, point: dict):
     )
     g = X1 @ dg2 - X2 @ dg1 + (xi1 @ X2 - xi2 @ X1 - f2 * g1 + f1 * g2) / 2
     return vec, f, form, g
+
+
+# --------------------------------------------------------------------------
+# chained references: every sum, difference and scaling normalizes again
+# --------------------------------------------------------------------------
+
+
+def chained_pairing_tm(a, b):
+    """<X1 + xi1, X2 + xi2> = (xi1(X2) + xi2(X1)) / 2, one operator call per term."""
+    return HALF * (interior_product(b.X, a.xi).scalar() + interior_product(a.X, b.xi).scalar())
+
+
+def chained_pairing_e1(a, b):
+    """(i_{X2} xi1 + i_{X1} xi2 + f1 g2 + f2 g1)/2, one operator call per term."""
+    return HALF * (
+        interior_product(b.X, a.xi).scalar()
+        + interior_product(a.X, b.xi).scalar()
+        + a.f * b.g
+        + b.f * a.g
+    )
+
+
+def chained_courant_bracket(a, b):
+    """[X1,X2] + L_{X1} xi2 - i_{X2} d xi1 from whole-tensor operators."""
+    return SectionTM(
+        lie_bracket(a.X, b.X),
+        lie_derivative(a.X, b.xi) - interior_product(b.X, exterior_derivative(a.xi)),
+    )
+
+
+def _scaled_differential(chart, u, h):
+    if is_structurally_zero(h) or is_structurally_zero(u):
+        return DifferentialForm.zero(chart, 1)
+    return differential(chart, u).scale(h)
+
+
+def chained_extended_bracket(a, b):
+    """The skew E1 bracket from whole-tensor operators, slot by slot (see
+    ``fd_extended_bracket`` for the formula)."""
+    chart = a.chart
+    i21 = interior_product(b.X, a.xi).scalar()
+    i12 = interior_product(a.X, b.xi).scalar()
+    form = (
+        lie_derivative(a.X, b.xi)
+        - lie_derivative(b.X, a.xi)
+        + _scaled_differential(chart, i21 - i12, HALF)
+        + b.xi.scale(a.f)
+        - a.xi.scale(b.f)
+        + (
+            _scaled_differential(chart, a.f, b.g)
+            - _scaled_differential(chart, b.f, a.g)
+            - _scaled_differential(chart, b.g, a.f)
+            + _scaled_differential(chart, a.g, b.f)
+        ).scale(HALF)
+    )
+    g = a.X.apply(b.g) - b.X.apply(a.g) + HALF * (i21 - i12 - b.f * a.g + a.f * b.g)
+    return SectionE1(lie_bracket(a.X, b.X), a.X.apply(b.f) - b.X.apply(a.f), form, g)
+
+
+# --------------------------------------------------------------------------
+# reference tokenizer: rescans from the current position at every peek
+# --------------------------------------------------------------------------
+
+
+class ReferenceTokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        pos = self.pos
+        text = self.text
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos >= len(text):
+            return ("end", "", pos)
+        ch = text[pos]
+
+        def is_digit(c):
+            return "0" <= c <= "9"
+
+        def is_ident_start(c):
+            return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
+
+        if is_digit(ch) or (ch == "." and pos + 1 < len(text) and is_digit(text[pos + 1])):
+            j = pos
+            seen_dot = False
+            while j < len(text) and (is_digit(text[j]) or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            return ("number", text[pos:j], pos)
+        if is_ident_start(ch):
+            j = pos
+            while j < len(text) and (is_ident_start(text[j]) or is_digit(text[j])):
+                j += 1
+            return ("ident", text[pos:j], pos)
+        if ch in "+-*/^()":
+            return ("op", ch, pos)
+        raise ExprSyntaxError(f"unexpected character '{ch}'", pos)
+
+    def next(self):
+        kind, value, pos = self.peek()
+        self.pos = pos + len(value) if kind != "end" else pos
+        return (kind, value, pos)

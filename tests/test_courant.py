@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracjacobi.chart_tensor import (
+    Chart,
     ChartError,
     DifferentialForm,
     VectorField,
@@ -19,10 +21,18 @@ from diracjacobi.courant import (
     pairing_e1,
     pairing_tm,
 )
-from diracjacobi.structures import construct_L_theta
-from diracjacobi.symcalc import ONE, ZERO, is_structurally_zero, normalize, parse
+from diracjacobi.structures import construct_L_jacobi, construct_L_theta
+from diracjacobi.symcalc import ONE, ZERO, is_structurally_zero, normalize, parse, render
 
-from oracles import fd_courant_bracket, fd_extended_bracket
+from conftest import RandomTensors
+from oracles import (
+    chained_courant_bracket,
+    chained_extended_bracket,
+    chained_pairing_e1,
+    chained_pairing_tm,
+    fd_courant_bracket,
+    fd_extended_bracket,
+)
 
 
 def P(chart, text):
@@ -242,3 +252,67 @@ class TestExtendedBracketOracle:
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 assert_matches_fd_oracle(gens[i], gens[j], points)
+
+
+# -- one-pass assembly against the chained references ------------------------
+
+# monomials of the hypothesis sections: polynomial and exp factors, no quotients
+MONOMIALS = {
+    2: ("1", "x", "y", "x*y", "x^2", "exp(x)", "y*exp(-y)", "exp(x + y)"),
+    3: ("1", "x", "z", "y*z", "x^2*y", "exp(z)", "x*exp(y - x)", "exp(2*x)"),
+}
+
+
+@st.composite
+def polys(draw, chart):
+    """A nonzero polynomial over MONOMIALS: distinct monomials, nonzero coefficients."""
+    terms = draw(st.lists(
+        st.tuples(st.integers(-3, 3).filter(bool), st.sampled_from(MONOMIALS[chart.dim])),
+        min_size=1, max_size=3, unique_by=lambda t: t[1],
+    ))
+    return parse(" + ".join(f"{c}*{m}" for c, m in terms), chart.coords)
+
+
+@st.composite
+def e1_sections(draw, chart):
+    """An E1 section with every component of X, f, xi and g nonzero."""
+    n = chart.dim
+    X = VectorField(chart, tuple(draw(polys(chart)) for _ in range(n)))
+    xi = DifferentialForm(chart, 1, {(i,): draw(polys(chart)) for i in range(n)})
+    return SectionE1(X, draw(polys(chart)), xi, draw(polys(chart)))
+
+
+def assert_rows_agree(got, want):
+    for g, w in zip(got.rows(), want.rows(), strict=True):
+        assert is_structurally_zero(g - w), (g, w)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_one_pass_brackets_and_pairings_match_chained(dim, data):
+    chart = Chart(f"R{dim}", ("x", "y", "z")[:dim])
+    a, b = data.draw(e1_sections(chart)), data.draw(e1_sections(chart))
+    assert_rows_agree(extended_courant_bracket(a, b), chained_extended_bracket(a, b))
+    assert is_structurally_zero(pairing_e1(a, b) - chained_pairing_e1(a, b))
+    s, t = SectionTM(a.X, a.xi), SectionTM(b.X, b.xi)
+    assert_rows_agree(courant_bracket(s, t), chained_courant_bracket(s, t))
+    assert is_structurally_zero(pairing_tm(s, t) - chained_pairing_tm(s, t))
+
+
+def rendered(section):
+    return [render(r) for r in section.rows()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_pass_renders_like_chained_on_structure_frames(r3, seed):
+    gen = RandomTensors(r3, seed)
+    for L in (construct_L_theta(gen.form(1)),
+              construct_L_jacobi(gen.multivector(2), gen.vector_field())):
+        gens = L.generators
+        for i in range(len(gens)):
+            for j in range(len(gens)):
+                a, b = gens[i], gens[j]
+                assert rendered(extended_courant_bracket(a, b)) == rendered(
+                    chained_extended_bracket(a, b))
+                assert render(pairing_e1(a, b)) == render(chained_pairing_e1(a, b))

@@ -258,20 +258,22 @@ def test_nonzero_expression_reports_its_residual(tiny):
 
 
 class TestNonFiniteSamples:
-    def run_single(self, tmp_path, forms: str, check: str):
+    def run_single(self, tmp_path, forms: str, check: str, box: str = ""):
         p = tmp_path / "overflow.scn"
-        p.write_text(f"name: overflow\ncharts: {{M: [x, y]}}\nforms: {forms}\n"
+        p.write_text(f"name: overflow\n{box}charts: {{M: [x, y]}}\nforms: {forms}\n"
                      f"structures: {{L: {{kind: theta, form: theta}}}}\nchecks: [{check}]\n")
         (outcome,) = run_scenario(load_scenario(p)).outcomes
         return outcome.result
 
-    def test_exp_overflow_in_a_frame_is_an_error_verdict(self, tmp_path):
+    @pytest.mark.parametrize("box", ["", "box: [-2, 0.7]\n"], ids=["default-box", "narrow-box"])
+    def test_exp_overflow_in_a_frame_has_a_certified_rank(self, tmp_path, box):
+        # the frame's pivots are all 1, so its rank needs no sample, where
+        # exp(1000*x) overflows (default box) or dwarfs the other rows (-2..0.7)
         result = self.run_single(
             tmp_path, '{theta: {chart: M, degree: 1, coeffs: {y: "exp(1000*x)"}}}',
-            "{check: maximal-isotropy, structure: L}",
+            "{check: maximal-isotropy, structure: L}", box,
         )
-        assert result.verdict is CheckVerdict.ERROR
-        assert "exp overflows" in result.details[0]
+        assert result.verdict is CheckVerdict.PASS and result.mode == "symbolic"
 
     def test_overflowing_samples_do_not_pass(self, tmp_path):
         result = self.run_single(

@@ -1,6 +1,11 @@
 """Structure frames: constructions, the two axioms, maps, and conformal changes."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
+
+from diracjacobi import structures
 
 from diracjacobi.chart_tensor import (
     Chart,
@@ -32,7 +37,22 @@ from diracjacobi.structures import (
     induced_dirac_on_MxR,
     lift_dirac,
 )
-from diracjacobi.symcalc import ONE, ZERO, normalize, parse
+from diracjacobi.scenario import load_scenario, run_scenario
+from diracjacobi.symcalc import (
+    ONE,
+    ZERO,
+    Constant,
+    Coordinate,
+    Exp,
+    IntegerPower,
+    Ln,
+    Product,
+    is_nonvanishing,
+    normalize,
+    parse,
+)
+
+from conftest import RandomTensors
 
 
 def P(chart, text):
@@ -400,3 +420,115 @@ class TestForwardMap:
         )
         r = check_forward_map(proj, graph_of_two_form(omega), cot, policy)
         assert r.passed
+
+
+# -- exact rank under nonvanishing-pivot certificates ------------------------
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call adds one to the returned list's length."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def fiber_rank_calls(monkeypatch):
+    return (count_calls(monkeypatch, FrameSubbundle, "fiber_matrix_at"),
+            count_calls(monkeypatch, structures, "matrix_rank"))
+
+
+class TestRankCertificate:
+    @pytest.mark.parametrize("text", ["3", "-6*exp(2*t)", "exp(x)^-2", "2*exp(x)*exp(y)"])
+    def test_nonvanishing_accepts(self, text):
+        assert is_nonvanishing(parse(text, ("x", "y", "t")))
+
+    @pytest.mark.parametrize("text", ["x", "1 + x^2", "exp(x) + 1", "exp(1/x)", "x/exp(y)"])
+    def test_nonvanishing_rejects(self, text):
+        assert not is_nonvanishing(parse(text, ("x", "y", "t")))
+
+    def test_raw_nodes(self):
+        x = Coordinate("x")
+        assert is_nonvanishing(IntegerPower(Product((Constant(Fraction(-2)), Exp(x))), -3))
+        assert not is_nonvanishing(Product((Constant(Fraction(0)), Exp(x))))
+        assert not is_nonvanishing(Exp(IntegerPower(x, -1)))
+        assert not is_nonvanishing(Exp(Ln(x)))
+
+    @pytest.mark.parametrize("build", ["theta", "jacobi"])
+    def test_conformal_change_is_certified(self, r2, policy, build):
+        gen = RandomTensors(r2, 5)
+        L = (construct_L_theta(gen.form(1)) if build == "theta"
+             else construct_L_jacobi(gen.multivector(2), gen.vector_field()))
+        phi = ConformalFactor(P(r2, "exp(x/2)"), r2)
+        Lc = conformal_change(L, phi)
+        if build == "jacobi":  # no constant left to pivot on: the exp entries are chosen
+            assert {str(p) for _, p, _ in Lc.elimination.steps} == {"exp(1/2*x)"}
+        r = check_maximal_isotropy(Lc, policy)
+        assert r.verdict is CheckVerdict.PASS and r.mode == "symbolic" and not r.details
+
+    def test_certified_rank_deficiency_has_no_sampled_point(self, r2, policy, monkeypatch):
+        z1 = DifferentialForm.zero(r2, 1)
+        ex = SectionE1(coordinate_field(r2, "x"), ZERO, z1, ZERO)
+        L = FrameSubbundle(
+            Ambient.E1, r2, (ex, ex, SectionE1(VectorField.zero(r2), ONE, z1, ZERO)), 3
+        )
+        fiber, rank = fiber_rank_calls(monkeypatch)
+        r = check_maximal_isotropy(L, policy)
+        assert r.verdict is CheckVerdict.FAIL and r.mode == "symbolic"
+        assert r.details == ("rank 2 instead of 3",) and r.witness == {"rank": 2}
+        assert fiber == [] and rank == []
+
+    def test_uncertified_pivot_is_sampled_and_named(self, r2, policy):
+        z1 = DifferentialForm.zero(r2, 1)
+        y_dy = VectorField(r2, (ZERO, P(r2, "y")))
+        L = FrameSubbundle(Ambient.E1, r2, (
+            SectionE1(coordinate_field(r2, "x"), ZERO, z1, ZERO),
+            SectionE1(y_dy, ZERO, z1, ZERO),
+            SectionE1(VectorField.zero(r2), ONE, z1, ZERO),
+        ), 3)
+        assert [pivot for _, pivot, _ in L.elimination.steps] == [ONE, P(r2, "y"), ONE]
+        r = check_maximal_isotropy(L, policy)
+        assert r.verdict is CheckVerdict.PASS and r.mode == "sampled"
+        assert any("pivot y " in d for d in r.details)
+
+
+# -- the work shape: no float rank on certified frames, one elimination each ---
+
+
+def shipped_isotropy_checks():
+    fixtures = Path(structures.__file__).parent / "fixtures"
+    for path in sorted(fixtures.glob("*.scn")):
+        scenario = load_scenario(path)
+        names = [c.name for c in scenario.checks if c.kind == "maximal-isotropy"]
+        if names:
+            yield scenario, names
+
+
+def test_certified_ranks_take_no_float_rank(monkeypatch, policy):
+    fiber, rank = fiber_rank_calls(monkeypatch)
+    count = 0
+    for scenario, names in shipped_isotropy_checks():
+        for outcome in run_scenario(scenario, only=names).outcomes:
+            assert outcome.result.verdict.value == outcome.spec.expect.upper()
+            count += 1
+    assert count == 13
+    for n in (2, 3, 4):
+        chart = Chart(f"R{n}", tuple(f"x{i}" for i in range(n)))
+        r = check_maximal_isotropy(construct_L_theta(RandomTensors(chart, n).form(1)), policy)
+        assert r.verdict is CheckVerdict.PASS and r.mode == "symbolic"
+    assert fiber == [] and rank == []
+
+
+def test_a_frame_is_eliminated_once(monkeypatch, r3, policy):
+    eliminations = count_calls(monkeypatch, structures, "_eliminate")
+    gen = RandomTensors(r3, 11)
+    L = construct_L_theta(gen.form(1))
+    assert check_maximal_isotropy(L, policy).passed
+    assert check_involutivity(L, policy).passed
+    for i in range(len(L.generators)):
+        assert L.expand(L.bracket(0, i)).rank == 4
+    assert len(eliminations) == 1

@@ -27,6 +27,7 @@ from diracjacobi.symcalc import (
     UnknownSymbolError,
     ZeroVerdict,
     _Parser,
+    _Tokenizer,
     _diff,
     check_zero_all,
     differentiate,
@@ -40,7 +41,7 @@ from diracjacobi.symcalc import (
     substitute,
 )
 
-from oracles import expr_fn, fd_partial, poly_product
+from oracles import ReferenceTokenizer, expr_fn, fd_partial, poly_product
 
 XY = ("x", "y")
 XYT = ("x", "y", "t")
@@ -70,6 +71,18 @@ class TestParse:
             parse("x ^ y", XY)  # exponent must be an integer literal
         with pytest.raises(ExprSyntaxError):
             parse("sin x", XY)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1..2", "unexpected '.2' (at position 2)"),
+        ("exp(", "expected a number, symbol, or '(' (at position 4)"),
+        ("x^-", "exponent must be an integer literal (at position 3)"),
+        ("x) $", "unexpected ')' (at position 1)"),
+        ("x + $", "unexpected character '$' (at position 4)"),
+    ])
+    def test_syntax_error_messages(self, text, message):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text, XY)
+        assert str(err.value) == message
 
     def test_decimal_literals_exact(self):
         assert parse("2.5", XY) == Constant(Fraction(5, 2))
@@ -523,3 +536,40 @@ def test_product_matches_the_exponent_oracle(p, q, r):
     read = [exponents_of(t) for t in terms]
     assert len({e for _, e in read}) == len(read)  # one term per monomial
     assert {e: c for c, e in read} == expected
+
+
+# -- the one-scan tokenizer against the rescanning reference ------------------
+
+TOKEN_TEXT = st.text(alphabet="0123456789.xyexpln_sico+-*/^() \t$", max_size=24)
+
+
+def parsed(run):
+    """The value of ``run()``, or the type and message of the syntax error it raised."""
+    try:
+        return run()
+    except (ExprSyntaxError, UnknownSymbolError) as exc:
+        return type(exc), str(exc)
+
+
+def token_stream(tokens):
+    out = []
+    while not out or out[-1][0] != "end":
+        out.append(tokens.next())
+    return out
+
+
+class ReferenceParser(_Parser):
+    def __init__(self, text, coords):
+        super().__init__(text, coords)
+        self.tokens = ReferenceTokenizer(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKEN_TEXT)
+@example("1..2")
+@example("exp(x) ^ -2 * .5")
+def test_tokenizer_matches_the_rescanning_reference(text):
+    assert parsed(lambda: token_stream(_Tokenizer(text))) == parsed(
+        lambda: token_stream(ReferenceTokenizer(text)))
+    assert parsed(lambda: _Parser(text, XY).parse()) == parsed(
+        lambda: ReferenceParser(text, XY).parse())
