@@ -39,7 +39,7 @@ from .chart_tensor import (
 )
 from .linalg import DEFAULT_RTOL, null_space, orthonormal_columns, spans_equal
 from .report import CheckResult, Findings, error_result
-from .structures import ConformalFactor, FrameSubbundle
+from .structures import ConformalFactor, FrameSubbundle, _eliminate, certified_rank
 from .symcalc import (
     Coordinate,
     Exp,
@@ -53,6 +53,7 @@ from .symcalc import (
     coord,
     differentiate,
     evaluate,
+    is_nonvanishing,
     is_structurally_zero,
     normalize,
     substitute,
@@ -280,20 +281,32 @@ def check_multiplicative_function(
 # --------------------------------------------------------------------------
 
 
+def _unit_kernel(gm: GroupoidModel, f: Findings, *forms: DifferentialForm) -> None:
+    """Ker(forms) & Ker(d source) & Ker(d target) = 0 at every unit: the forms'
+    coefficient rows stacked with both Jacobians, pulled back along unit, have
+    rank dim G, read off one exact elimination."""
+    N = gm.total.dim
+    rows = [[form.coefficient((j,) if form.degree == 1 else (i, j)) for j in range(N)]
+            for form in forms for i in range(1 if form.degree == 1 else N)]
+    rows += [[differentiate(c, x) for x in gm.total.coords]
+             for F in (gm.source, gm.target) for c in F.components]
+    columns = [[gm.unit.pull_expr(row[j]) for row in rows] for j in range(N)]
+    rank = certified_rank(_eliminate(columns, len(rows)), f)
+    if rank != N:
+        f.fail(
+            "kernel condition fails at a unit point",
+            {"condition": "non-degeneracy", "kernel_dim": N - rank},
+        )
+
+
 def check_precontact(
     gm: GroupoidModel,
     pd: PrecontactData,
     policy: SamplingPolicy,
-    kernel_at_all_samples: bool = False,
     name: str = "precontact",
 ) -> CheckResult:
     """Multiplicativity of sigma, the twisted pullback identity for eta, and
-    the four-kernel nondegeneracy condition at unit points.
-
-    kernel_at_all_samples additionally reports the kernel condition at
-    arbitrary sampled total-chart points (informational; the verdict reads
-    the condition at units).
-    """
+    the four-kernel nondegeneracy condition at unit points."""
     if gm.total.dim != 2 * gm.base.dim + 1:
         return error_result(
             name,
@@ -307,6 +320,7 @@ def check_precontact(
     if not mult.passed:
         f.fail("sigma is not multiplicative", mult.witness)
         return f.result(mode="sampled")
+    f.mode = mult.mode  # a sampled sigma makes the whole check sampled
 
     # (a) m* eta = pr1* eta + pr1*(e^sigma) pr2* eta, coefficient-wise on the locus
     twisted = pullback(gm.pair_right, pd.eta).scale(
@@ -319,39 +333,8 @@ def check_precontact(
     f.zero(rep, "multiplicativity identity for eta fails", condition="eta-multiplicative")
 
     # (b) Ker(d eta) & Ker(eta) & Ker(d source) & Ker(d target) = 0 at units
-    deta = exterior_derivative(pd.eta)
-
-    def kernel_at(g) -> np.ndarray:
-        rows = np.vstack(
-            [
-                deta.matrix_at(g).T,
-                pd.eta.covector_at(g)[None, :],
-                gm.source.jacobian_at(g),
-                gm.target.jacobian_at(g),
-            ]
-        )
-        return null_space(rows, DEFAULT_RTOL)
-
-    for x in policy.float_points(gm.base.coords, f"{name}:units"):
-        kernel = kernel_at(gm.unit.evaluate(x))
-        if kernel.shape[1]:
-            f.fail(
-                "kernel condition fails at a unit point",
-                {
-                    "condition": "non-degeneracy",
-                    "base_point": x,
-                    "kernel_dim": kernel.shape[1],
-                    "kernel_vector": [float(v) for v in kernel[:, 0]],
-                },
-            )
-            break
-
-    if kernel_at_all_samples:
-        bad = sum(
-            1 for g in policy.float_points(gm.total.coords, f"{name}:allg") if kernel_at(g).shape[1]
-        )
-        f.note(f"kernel condition off units: {bad} degenerate of {policy.count} sampled")
-    return f.result(mode="sampled")
+    _unit_kernel(gm, f, exterior_derivative(pd.eta), pd.eta)
+    return f.result()
 
 
 def check_presymplectic(
@@ -389,22 +372,7 @@ def check_presymplectic(
     )
     f.zero(mult, "omega is not multiplicative", condition="multiplicative")
 
-    for x in policy.float_points(gm.base.coords, f"{name}:units"):
-        gx = gm.unit.evaluate(x)
-        rows = np.vstack(
-            [
-                pd.omega.matrix_at(gx).T,
-                gm.source.jacobian_at(gx),
-                gm.target.jacobian_at(gx),
-            ]
-        )
-        kdim = null_space(rows, DEFAULT_RTOL).shape[1]
-        if kdim != 0:
-            f.fail(
-                "kernel condition fails at a unit point",
-                {"condition": "non-degeneracy", "base_point": x, "kernel_dim": kdim},
-            )
-            break
+    _unit_kernel(gm, f, pd.omega)
 
     if pd.homogeneity_field is not None:
         hom = check_zero_all(
@@ -414,7 +382,7 @@ def check_presymplectic(
             label=f"{name}:homogeneous",
         )
         f.zero(hom, "omega is not homogeneous for the supplied field", condition="homogeneous")
-    return f.result(mode="sampled")
+    return f.result()
 
 
 # --------------------------------------------------------------------------
@@ -643,7 +611,7 @@ def equivalence_transform(
 def check_contact_form(
     eta: DifferentialForm, policy: SamplingPolicy, name: str = "contact-nondegenerate"
 ) -> CheckResult:
-    """eta ^ (d eta)^k has a nowhere-vanishing top coefficient (sampled)."""
+    """eta ^ (d eta)^k has a nowhere-vanishing top coefficient: certified, or sampled."""
     chart = eta.chart
     if chart.dim % 2 == 0:
         return error_result(name, "contact forms need an odd-dimensional chart")
@@ -656,6 +624,8 @@ def check_contact_form(
     f = Findings(name)
     if is_structurally_zero(top):
         f.fail("volume form vanishes identically")
+        return f.result()
+    if is_nonvanishing(top):
         return f.result()
     for p in policy.float_points(chart.coords, f"{name}:points"):
         v = float(evaluate(top, p))

@@ -106,8 +106,9 @@ class Findings:
 
     The check fails at its first failing finding; the first witness given is
     kept; details keep their first occurrence, in order; the mode stays
-    "symbolic" until a zero test is not decided by normalization; every zero
-    test and residual feeds the residual statistics.
+    "symbolic" until a zero test is not decided by normalization or a rank rests
+    on an uncertified pivot; every zero test and residual feeds the residual
+    statistics.
     """
 
     def __init__(self, name: str) -> None:

@@ -486,9 +486,11 @@ def _eta_omega_roundtrip(policy, name, data, fiber, time):
         label=f"{name}:roundtrip",
     )
     f = Findings(name)
+    # sampled if the action groupoid's sigma test or the presymplectic half was
+    modes = {sym.mode, check_multiplicative_function(gm, pd.sigma, policy).mode}
+    f.mode = "symbolic" if modes == {"symbolic"} else "sampled"
     f.zero(rep, "round-trip does not return the original data")
-    # the presymplectic half samples float kernels at units
-    return f.result(mode="sampled")
+    return f.result()
 
 
 def _omega_descends(policy, name, omega, fiber, sigma):
@@ -550,9 +552,8 @@ CHECKS: dict[str, Kind] = {
             groupoid, function, policy, name=name),
         Ref("groupoid", "groupoids"), Expression("function", lambda got: got["groupoid"].total.coords)),
     "precontact": Kind(
-        lambda policy, name, data, kernel_at_all_samples: check_precontact(
-            *data, policy, kernel_at_all_samples=kernel_at_all_samples, name=name),
-        Ref("data", "precontact"), Value("kernel-at-all-samples", bool, False)),
+        lambda policy, name, data: check_precontact(*data, policy, name=name),
+        Ref("data", "precontact")),
     "presymplectic": Kind(
         lambda policy, name, groupoid, omega, field: check_presymplectic(
             groupoid, PresymplecticData(omega, field), policy, name=name),

@@ -9,7 +9,7 @@ deterministic randomized sampling:
   generator span has full expected rank (n over TM + T*M, n+1 over E1).  The
   rank is the pivot count of one exact elimination of the generator matrix,
   kept on the frame; it holds at every point when every pivot is certified
-  nonvanishing, and is otherwise checked at sampled points;
+  nonvanishing, and off the zero set of the uncertified pivots otherwise;
 * involutivity: the (extended) Courant bracket of every generator pair lies
   in the generator span.  FrameSubbundle.expand replays the elimination's row
   operations on the section; the rows it leaves over vanish exactly when the
@@ -70,7 +70,9 @@ from .symcalc import (
     ZERO,
     ONE,
     Quotient,
+    SamplingExhaustedError,
     SamplingPolicy,
+    ZeroVerdict,
     as_expr,
     check_zero_all,
     coord,
@@ -119,22 +121,44 @@ def _replay(step, rows: list[list[Expr]]) -> None:
                    for v, p in zip(rows[r], rows[pr])]
 
 
+def _sampled_nonzero(e: Expr) -> bool:
+    """Whether the default sampling policy finds ``e`` nonzero at some point."""
+    try:
+        return check_zero_all([e], SamplingPolicy(), label="pivot").verdict is ZeroVerdict.NONZERO
+    except SamplingExhaustedError:
+        return False
+
+
+_PIVOT_RULE = (lambda e: isinstance(e, Constant), is_nonvanishing, _sampled_nonzero)
+
+
 def _eliminate(columns: list[list[Expr]], height: int) -> Elimination:
-    """Gauss-Jordan elimination, column by column.  A pivot is a nonzero constant
-    when the column has one, else a certified nonvanishing entry, else its first
-    structurally nonzero entry; a column with none left gets no pivot."""
+    """Gauss-Jordan elimination, column by column.  A pivot is proven nonzero: a
+    constant when the column has one, else a certified nonvanishing entry, else
+    the first entry sampling shows nonzero; a column with none left gets no pivot."""
     rows = [[c[r] for c in columns] for r in range(height)]
     pivots, steps = {}, []
     for col in range(len(columns)):
         nonzero = [r for r in range(height) if not is_structurally_zero(rows[r][col])]
         free = [r for r in nonzero if r not in pivots.values()]
-        if free:
-            good = (lambda e: isinstance(e, Constant), is_nonvanishing)
-            pr = pivots[col] = next((r for ok in good for r in free if ok(rows[r][col])), free[0])
+        pr = next((r for ok in _PIVOT_RULE for r in free if ok(rows[r][col])), None)
+        if pr is not None:
+            pivots[col] = pr
             steps.append((pr, rows[pr][col], tuple((r, rows[r][col]) for r in nonzero if r != pr)))
             _replay(steps[-1], rows)
     free_rows = tuple(r for r in range(height) if r not in pivots.values())
     return Elimination(pivots, tuple(steps), free_rows)
+
+
+def certified_rank(elim: Elimination, f: Findings) -> int:
+    """The pivot count of ``elim``.  It is the rank at every point when every pivot
+    is certified nonvanishing; else it holds off the pivots' zero set, and ``f``
+    names the first uncertified pivot and turns sampled."""
+    uncertified = next((p for _, p, _ in elim.steps if not is_nonvanishing(p)), None)
+    if uncertified is not None:
+        f.mode = "sampled"
+        f.note(f"rank sampled: pivot {uncertified} is not certified nonvanishing")
+    return len(elim.pivots)
 
 
 @dataclass(frozen=True)
@@ -365,26 +389,10 @@ def check_maximal_isotropy(
             )
             f.zero(rep, f"pairing of generators ({i}, {j}) is nonzero", pair=[i, j])
 
-    # with every pivot nonvanishing, the pivot count is the rank at every point
-    uncertified = [p for _, p, _ in L.elimination.steps if not is_nonvanishing(p)]
-    if not uncertified:
-        rank = len(L.elimination.pivots)
-        if rank != L.expected_rank:
-            f.fail(f"rank {rank} instead of {L.expected_rank}", {"rank": rank})
-        return f.result()
-    f.note(f"rank sampled: pivot {uncertified[0]} is not certified nonvanishing")
-    deficient = []
-    for point in policy.float_points(L.chart.coords, f"{name}:rank"):
-        r = matrix_rank(L.fiber_matrix_at(point), DEFAULT_RTOL)
-        if r != L.expected_rank:
-            deficient.append((point, r))
-    if deficient:
-        point, r = deficient[0]
-        f.fail(
-            f"rank {r} instead of {L.expected_rank} at {len(deficient)} sampled point(s)",
-            {"point": point, "rank": r},
-        )
-    return f.result(mode="sampled")
+    rank = certified_rank(L.elimination, f)
+    if rank != L.expected_rank:
+        f.fail(f"rank {rank} instead of {L.expected_rank}", {"rank": rank})
+    return f.result()
 
 
 def check_involutivity(
@@ -416,7 +424,8 @@ def check_structures_equal(
     policy: SamplingPolicy,
     name: str = "structure-equal",
 ) -> CheckResult:
-    """Pointwise subspace equality of two frames over charts with equal coordinates."""
+    """Subspace equality of two frames over charts with equal coordinates: equal
+    ranks, and every generator of A expands in B with leftover rows zero."""
     if A.ambient is not B.ambient:
         return error_result(name, "frames live in different ambient bundles")
     if A.chart.coords != B.chart.coords:
@@ -425,11 +434,14 @@ def check_structures_equal(
             f"charts have different coordinates: {A.chart.coords} vs {B.chart.coords}",
         )
     f = Findings(name)
-    for point in policy.float_points(A.chart.coords, f"{name}:points"):
-        if not spans_equal(A.fiber_matrix_at(point), B.fiber_matrix_at(point), DEFAULT_RTOL):
-            f.fail(witness={"point": point})
-            break
-    return f.result(mode="sampled")
+    ranks = certified_rank(A.elimination, f), certified_rank(B.elimination, f)
+    if ranks[0] != ranks[1]:
+        f.fail(f"ranks differ: {ranks[0]} against {ranks[1]}", {"ranks": list(ranks)})
+        return f.result()
+    for i, g in enumerate(A.generators):
+        rep = check_zero_all(B.expand(g).leftover, policy, A.chart.coords, f"{name}:{i}")
+        f.zero(rep, f"generator {i} of the first frame leaves the span of the second", generator=i)
+    return f.result()
 
 
 def check_forward_map(

@@ -307,6 +307,17 @@ def _split_term(t: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
     return _UNIT, (t,)
 
 
+def _ratio(num: Expr, den: Expr) -> Fraction | None:
+    """c when the normalized ``num`` is c times the normalized ``den``, else None."""
+    nums, dens = ([_split_term(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
+                  for e in (num, den))
+    if len(nums) != len(dens):
+        return None
+    by_factors = {factors: c for c, factors in dens}
+    ratios = {c / by_factors[f] if f in by_factors else None for c, f in nums}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
 def _make_term(coeff: int | Fraction, factors: tuple[Expr, ...]) -> Expr:
     # inputs are normalized and sorted, so the rebuilt node is normal too
     if coeff == 0:
@@ -582,8 +593,9 @@ def _normalize(e: Expr) -> Expr:
             den = _make_term(Fraction(1), tuple(f for f in dfactors if not isinstance(f, Exp)))
             if den == ONE:
                 return num
-        if num == den:
-            return ONE
+        ratio = _ratio(num, den)
+        if ratio is not None:
+            return _constant(ratio)
         return Quotient(num, den)
 
     if isinstance(e, IntegerPower):

@@ -205,6 +205,21 @@ def involutive_at_points(L, points, tol: float = 1e-7) -> bool:
     return True
 
 
+def unit_kernel_dim(gm, forms, base_point) -> int:
+    """dim of Ker(forms) & Ker(d source) & Ker(d target) at the unit over a base point.
+
+    The float kernel the precontact and presymplectic checks used to sample:
+    the forms' coefficient matrices and both Jacobians at the unit, stacked,
+    and their null space by SVD.
+    """
+    from diracjacobi.linalg import DEFAULT_RTOL, null_space
+
+    g = gm.unit.evaluate(base_point)
+    rows = [f.matrix_at(g).T if f.degree == 2 else f.covector_at(g)[None, :] for f in forms]
+    rows += [gm.source.jacobian_at(g), gm.target.jacobian_at(g)]
+    return null_space(np.vstack(rows), DEFAULT_RTOL).shape[1]
+
+
 def cocycle_at_points(L, values, points, tol: float = 1e-7) -> bool:
     """rho(e_i) phi_j - rho(e_j) phi_i = phi([e_i, e_j]) at every point.
 

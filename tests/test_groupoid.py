@@ -14,7 +14,7 @@ from diracjacobi.chart_tensor import (
     pullback,
     wedge,
 )
-from diracjacobi.cli import fixture_names, resolve_scenario_path
+from diracjacobi.cli import fixture_names, main, resolve_scenario_path
 from diracjacobi.groupoid import (
     GroupoidModel,
     GroupoidModelError,
@@ -37,6 +37,7 @@ from diracjacobi.groupoid import (
     pair_groupoid_with_line,
     sample_fiber,
 )
+from diracjacobi import groupoid
 from diracjacobi.report import CheckVerdict
 from diracjacobi.scenario import load_scenario, run_scenario
 from diracjacobi.structures import (
@@ -46,6 +47,9 @@ from diracjacobi.structures import (
     check_forward_map,
 )
 from diracjacobi.symcalc import ONE, ZERO, coord, normalize, parse
+
+from conftest import RandomTensors
+from oracles import unit_kernel_dim
 
 
 def P(chart, text):
@@ -222,11 +226,73 @@ class TestPrecontact:
         pd = PrecontactData(DifferentialForm.zero(gm.total, 1), ZERO)
         assert check_precontact(gm, pd, policy).verdict is CheckVerdict.ERROR
 
-    def test_kernel_report_at_all_samples(self, M1, line_model, policy):
+    def test_kernel_at_all_samples_is_an_unknown_argument(self, tmp_path, capsys):
+        p = tmp_path / "kernel.scn"
+        p.write_text(
+            "charts: {M: [x]}\n"
+            "groupoids: {G: {kind: pair-line, base: M}}\n"
+            "forms: {theta: {chart: M, degree: 1, coeffs: {x: '1'}}}\n"
+            "precontact: {PD: {groupoid: G, theta: theta}}\n"
+            "checks: [{check: precontact, data: PD, kernel-at-all-samples: true}]\n"
+        )
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown argument 'kernel-at-all-samples'" in err and "Traceback" not in err
+
+
+class TestUnitKernel:
+    """The exact kernel condition at the units against the float kernel it replaced."""
+
+    @staticmethod
+    def exact_kernel_dim(result) -> int:
+        witness = result.witness or {}
+        return witness["kernel_dim"] if witness.get("condition") == "non-degeneracy" else 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_pair_line_data_agree_with_the_float_kernel(self, r2, policy, seed):
+        M = r2 if seed % 2 else Chart("M1", ("x",))
+        gen = RandomTensors(M, seed)
+        gm = pair_groupoid_with_line(M)
+        theta = gen.form(1) if seed % 4 < 2 else DifferentialForm.zero(M, 1)
+        pd = eta_from_precontact_form(gm, theta)
+        r = check_precontact(gm, pd, policy)
+        forms = (exterior_derivative(pd.eta), pd.eta)
+        for _ in range(5):
+            assert unit_kernel_dim(gm, forms, gen.point()) == self.exact_kernel_dim(r)
+
+    def test_certified_kernel_is_symbolic(self, M1, line_model, policy):
         pd = eta_from_precontact_form(line_model, coordinate_form(M1, "x"))
-        r = check_precontact(line_model, pd, policy, kernel_at_all_samples=True)
-        assert r.passed
-        assert any("off units" in d for d in r.details)
+        r = check_precontact(line_model, pd, policy)
+        assert r.passed and r.mode == "symbolic" and not r.details
+
+    def test_degenerate_kernel_reports_its_dimension(self, M1, line_model, policy):
+        pd = eta_from_precontact_form(line_model, DifferentialForm.zero(M1, 1))
+        r = check_precontact(line_model, pd, policy)
+        assert r.verdict is CheckVerdict.FAIL and r.mode == "symbolic"
+        assert r.witness == {"condition": "non-degeneracy", "kernel_dim": 1}
+        assert r.details == ("kernel condition fails at a unit point",)
+
+    def test_uncertified_pivot_is_named(self, r2, plane_model, policy):
+        # eta vanishes at the units over x = 0; the pivot -x says where
+        pd = eta_from_precontact_form(plane_model, DifferentialForm(r2, 1, {(1,): P(r2, "x")}))
+        r = check_precontact(plane_model, pd, policy)
+        assert r.passed and r.mode == "sampled"
+        assert r.details == ("rank sampled: pivot -x is not certified nonvanishing",)
+        assert unit_kernel_dim(plane_model, (exterior_derivative(pd.eta), pd.eta),
+                               {"x": 0.0, "y": 0.3}) == 1
+
+    def test_presymplectic_on_a_bundle_of_lines(self, M1, policy):
+        # source = target, so the kernel at the units is the kernel of omega alone
+        BG, BGP = Chart("BG", ("b1", "b2")), Chart("BGP", ("b1", "b2", "b3"))
+        m = lambda src, dst, *comps: SmoothMap(src, dst, tuple(P(src, c) for c in comps))
+        gm = GroupoidModel(BG, M1, m(BG, M1, "b1"), m(BG, M1, "b1"), m(M1, BG, "x", "0"),
+                           m(BG, BG, "b1", "-b2"), BGP, m(BGP, BG, "b1", "b2"),
+                           m(BGP, BG, "b1", "b3"), m(BGP, BG, "b1", "b2 + b3"))
+        for coeff, want in (("1", 0), ("0", 1)):
+            omega = DifferentialForm(BG, 2, {(0, 1): P(BG, coeff)})
+            r = check_presymplectic(gm, PresymplecticData(omega), policy)
+            assert r.mode == "symbolic"
+            assert self.exact_kernel_dim(r) == want == unit_kernel_dim(gm, (omega,), {"x": 0.4})
 
 
 class TestPresymplectic:
@@ -335,6 +401,13 @@ class TestEtaOmega:
         pd = omega_to_eta(PresymplecticData(good), ZERO, policy)
         assert pd.eta.chart.coords == ("x",)
         assert pd.eta == coordinate_form(pd.eta.chart, "x")
+
+
+    @pytest.mark.parametrize("fixture", ["precontact_line", "precontact_contact"])
+    def test_round_trip_check_is_symbolic(self, fixture):
+        scenario = load_scenario(resolve_scenario_path(fixture))
+        (outcome,) = run_scenario(scenario, only=["correspondence"]).outcomes
+        assert outcome.result.passed and outcome.result.mode == "symbolic"
 
 
 class TestCorrespondenceProperty:
@@ -465,3 +538,16 @@ class TestContactForm:
     def test_even_dimension_errors(self, r2, policy):
         r = check_contact_form(coordinate_form(r2, "x"), policy)
         assert r.verdict is CheckVerdict.ERROR
+
+    def test_certified_top_is_symbolic_without_samples(self, r3, policy, monkeypatch):
+        calls = []
+        monkeypatch.setattr(groupoid, "evaluate", lambda *a: calls.append(a))
+        for coeffs in ({(2,): ONE, (0,): P(r3, "-y")}, {(2,): P(r3, "exp(z)"), (0,): P(r3, "y")}):
+            r = check_contact_form(DifferentialForm(r3, 1, coeffs), policy)
+            assert r.passed and r.mode == "symbolic" and r.residual_max == 0.0
+        assert calls == []
+
+    def test_uncertified_top_is_sampled(self, r3, policy):
+        theta = DifferentialForm(r3, 1, {(2,): P(r3, "1 + x^2"), (0,): P(r3, "-y")})
+        r = check_contact_form(theta, policy)
+        assert r.passed and r.mode == "sampled"

@@ -275,6 +275,16 @@ class TestNonFiniteSamples:
         )
         assert result.verdict is CheckVerdict.PASS and result.mode == "symbolic"
 
+    def test_exp_overflow_in_a_structure_equality_is_certified(self, tmp_path):
+        # each generator expands in the frame itself with no row left over, so
+        # no float point is evaluated where exp(1000*x) overflows
+        result = self.run_single(
+            tmp_path, '{theta: {chart: M, degree: 1, coeffs: {y: "exp(1000*x)"}}}',
+            "{check: structure-equal, a: L, b: L}",
+        )
+        assert result.verdict is CheckVerdict.PASS and result.mode == "symbolic"
+        assert not result.details
+
     def test_overflowing_samples_do_not_pass(self, tmp_path):
         result = self.run_single(
             tmp_path, '{theta: {chart: M, degree: 1, coeffs: {y: "x"}}}',

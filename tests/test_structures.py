@@ -1,5 +1,6 @@
 """Structure frames: constructions, the two axioms, maps, and conformal changes."""
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from diracjacobi.symcalc import (
     Ln,
     Product,
     is_nonvanishing,
+    is_structurally_zero,
     normalize,
     parse,
 )
@@ -386,6 +388,34 @@ class TestSpanEquality:
         assert r.verdict is CheckVerdict.FAIL and r.witness is not None
 
 
+class TestExactStructureEquality:
+    def test_certified_pair_is_symbolic(self, r2, policy):
+        omega = RandomTensors(r2, 8).form(2)
+        lifted = lift_dirac(graph_of_two_form(omega))
+        pair = construct_two_form_pair(omega, DifferentialForm.zero(r2, 1))
+        for a, b in ((lifted, pair), (pair, lifted)):
+            r = check_structures_equal(a, b, policy)
+            assert r.verdict is CheckVerdict.PASS and r.mode == "symbolic" and not r.details
+
+    def test_unequal_pivot_counts_fail(self, r2, theta_xdy, policy):
+        L = construct_L_theta(theta_xdy)
+        g0, _, g2 = L.generators
+        short = FrameSubbundle(Ambient.E1, r2, (g0, g0.scale(P(r2, "2")), g2), 3)
+        r = check_structures_equal(L, short, policy)
+        assert r.verdict is CheckVerdict.FAIL and r.mode == "symbolic"
+        assert r.details == ("ranks differ: 3 against 2",) and r.witness == {"ranks": [3, 2]}
+
+    def test_generator_outside_the_span_is_named(self, r2, policy):
+        L = construct_L_theta(coordinate_form(r2, "y"))
+        g0, g1, _ = L.generators
+        other = SectionE1(VectorField.zero(r2), ONE, coordinate_form(r2, "x"), ZERO)
+        M = FrameSubbundle(Ambient.E1, r2, (g0, g1, other), 3)
+        r = check_structures_equal(L, M, policy)
+        assert r.verdict is CheckVerdict.FAIL and r.mode == "symbolic"
+        assert r.details == ("generator 2 of the first frame leaves the span of the second",)
+        assert r.witness["generator"] == 2
+
+
 class TestForwardMap:
     def test_identity_map(self, r2, theta_xdy, policy):
         from diracjacobi.chart_tensor import identity_map
@@ -496,6 +526,17 @@ class TestRankCertificate:
         assert any("pivot y " in d for d in r.details)
 
 
+    def test_a_disguised_zero_is_no_pivot(self, r2):
+        # FOUND-24's power of a quotient: zero, but not structurally zero
+        hidden = P(r2, "(x/(1+y))*(x/(1+y)) - (x/(1+y))^2")
+        assert not is_structurally_zero(hidden)
+        gens = (SectionTM(VectorField(r2, (hidden, P(r2, "x"))), DifferentialForm.zero(r2, 1)),
+                SectionTM(VectorField.zero(r2), coordinate_form(r2, "x")))
+        L = FrameSubbundle(Ambient.TM_TSTAR, r2, gens, 2)
+        assert L.elimination.pivots == {0: 1, 1: 2}
+        assert [pivot for _, pivot, _ in L.elimination.steps] == [P(r2, "x"), ONE]
+
+
 # -- the work shape: no float rank on certified frames, one elimination each ---
 
 
@@ -532,3 +573,24 @@ def test_a_frame_is_eliminated_once(monkeypatch, r3, policy):
     for i in range(len(L.generators)):
         assert L.expand(L.bracket(0, i)).rank == 4
     assert len(eliminations) == 1
+
+
+def test_float_spans_and_kernels_serve_only_maps_and_extraction(monkeypatch):
+    from diracjacobi import algebroid, groupoid, linalg, scenario
+
+    callers = set()
+    for name in ("spans_equal", "null_space"):
+        original = getattr(linalg, name)
+
+        def guarded(*args, _original=original, **kwargs):
+            callers.add(sys._getframe(1).f_code.co_name)
+            return _original(*args, **kwargs)
+
+        for module in (linalg, structures, groupoid, algebroid, scenario):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, guarded)
+    fixtures = Path(structures.__file__).parent / "fixtures"
+    for path in sorted(fixtures.glob("*.scn")):
+        for outcome in run_scenario(load_scenario(path)).outcomes:
+            assert outcome.result.verdict.value == outcome.spec.expect.upper()
+    assert callers == {"check_forward_map", "extract_LM"}

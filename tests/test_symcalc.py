@@ -400,6 +400,13 @@ def test_exp_factors_of_a_denominator_move_to_the_numerator():
     assert parse("(x + y)/exp(x)", XY) == parse("x*exp(-x) + y*exp(-x)", XY)
 
 
+def test_a_quotient_of_proportional_terms_is_its_constant():
+    assert parse("1 + x*(-1)/x", XY) == ZERO
+    assert parse("(2 + 2*y)/(1 + y)", XY) == parse("2", XY)
+    assert parse("(-3*x*exp(y))/(6*x*exp(y))", XY) == parse("-1/2", XY)
+    assert render(parse("(x + 2*y)/(x + y)", XY)) == "(x + 2*y)/(x + y)"
+
+
 @pytest.mark.parametrize(
     "text",
     [
