@@ -13,15 +13,13 @@ and associativity laws are exact identities, decided like any zero test.
 On top of the axioms live the precontact and presymplectic verifications,
 the action groupoid twisted by a multiplicative function, the 1-form /
 homogeneous-2-form correspondence, the conformal equivalence transform, and
-the fiberwise extraction of the base structure from precontact data.
+the exact extraction of the base structure from precontact data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .chart_tensor import (
     Chart,
@@ -37,9 +35,9 @@ from .chart_tensor import (
     pullback,
     wedge,
 )
-from .linalg import DEFAULT_RTOL, null_space, orthonormal_columns, spans_equal
 from .report import CheckResult, Findings, error_result
-from .structures import ConformalFactor, FrameSubbundle, _eliminate, certified_rank
+from .structures import (ConformalFactor, FrameSubbundle, _eliminate, _unit, certified_rank,
+                         compare_spans, pushed_null_space)
 from .symcalc import (
     Coordinate,
     Exp,
@@ -317,10 +315,10 @@ def check_precontact(
 
     f = Findings(name)
     mult = check_multiplicative_function(gm, pd.sigma, policy, name=f"{name}:sigma")
+    f.mode = mult.mode  # a sampled sigma makes the whole check sampled
     if not mult.passed:
         f.fail("sigma is not multiplicative", mult.witness)
-        return f.result(mode="sampled")
-    f.mode = mult.mode  # a sampled sigma makes the whole check sampled
+        return f.result()
 
     # (a) m* eta = pr1* eta + pr1*(e^sigma) pr2* eta, coefficient-wise on the locus
     twisted = pullback(gm.pair_right, pd.eta).scale(
@@ -493,14 +491,8 @@ def omega_to_eta(
 
 
 # --------------------------------------------------------------------------
-# base-structure extraction (fiberwise linear algebra)
+# base-structure extraction
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtractionResult:
-    result: CheckResult
-    fibers: tuple[tuple[dict, np.ndarray], ...]
 
 
 def extract_LM(
@@ -508,77 +500,49 @@ def extract_LM(
     pd: PrecontactData,
     policy: SamplingPolicy,
     expected: FrameSubbundle | None = None,
-    fiber_samples: int = 5,
     name: str = "extract-base-structure",
-) -> ExtractionResult:
-    """Assemble the base E1 fibers solving, over points g of each target fiber,
+) -> CheckResult:
+    """Read the base E1 structure off precontact data: solve, over the total chart,
 
-        target*(xi)|_g = i_X d eta + F eta,   G = -eta(X),
+        target*(xi) = i_X d eta + F eta,   G = -eta(X),
 
-    and map (X, F, xi, G) -> ((d target) X, F, xi, G).  PASS iff every
-    assembled fiber has rank dim M + 1 (constant across base points) and, if
-    an expected frame is supplied, equals its fiber as a subspace pointwise.
+    and map the solutions (X, F, xi, G) to ((d target) X, F, xi, G).  PASS iff
+    the pushed fiber has rank dim M + 1 and spans what an expected frame's rows,
+    pulled back along target, span; with no expected frame, what it spans itself
+    at the unit over target(g), so that it is constant along each target fiber.
     """
-    n = gm.base.dim
-    N = gm.total.dim
+    n, N = gm.base.dim, gm.total.dim
+    h = 2 * n + 2
     deta = exterior_derivative(pd.eta)
-    rng = policy.rng(f"{name}:fibers")
+    eta = [pd.eta.coefficient((j,)) for j in range(N)]
+    Jt = [[differentiate(c, x) for x in gm.total.coords] for c in gm.target.components]
+    # per unknown: its column of the system (rows j < N: the j-th component of
+    # target*(xi) - i_X d eta - F eta; row N: G + eta(X)), and its push
+    unknowns = [([normalize(-deta.coefficient((i, j))) for j in range(N)] + [eta[i]],
+                 [Jt[a][i] for a in range(n)] + [ZERO] * (n + 2)) for i in range(N)]
+    unknowns.append(([normalize(-v) for v in eta] + [ZERO], _unit(h, n)))
+    unknowns += [(Jt[a] + [ZERO], _unit(h, n + 1 + a)) for a in range(n)]
+    unknowns.append((_unit(N + 1, N), _unit(h, h - 1)))
+
     f = Findings(name)
-    fibers: list[tuple[dict, np.ndarray]] = []
-    ranks: dict[int, dict] = {}
-
-    base_points = policy.float_points(gm.base.coords, f"{name}:base", min(policy.count, 20))
-    for y in base_points:
-        collected: list[np.ndarray] = []
-        for g in sample_fiber(gm.target, y, rng, policy.box, fiber_samples):
-            W = deta.matrix_at(g)  # W[i, j] = d eta(e_i, e_j)
-            eta_vec = pd.eta.covector_at(g)
-            Jb = gm.target.jacobian_at(g)
-            rows = np.zeros((N + 1, N + n + 2))
-            # rows j: sum_m Jb[m, j] xi_m - sum_i W[i, j] X_i - eta_j F = 0
-            rows[:N, :N] = -W.T
-            rows[:N, N] = -eta_vec
-            rows[:N, N + 1 : N + 1 + n] = Jb.T
-            # row N: G + eta(X) = 0
-            rows[N, :N] = eta_vec
-            rows[N, N + 1 + n] = 1.0
-            sols = null_space(rows, DEFAULT_RTOL)
-            push = np.zeros((2 * n + 2, N + n + 2))
-            push[:n, :N] = Jb
-            push[n, N] = 1.0
-            push[n + 1 : 2 * n + 1, N + 1 : N + 1 + n] = np.eye(n)
-            push[2 * n + 1, N + 1 + n] = 1.0
-            collected.append(push @ sols)
-        stacked = np.hstack(collected)
-        basis = orthonormal_columns(stacked, DEFAULT_RTOL)
-        r = basis.shape[1]
-        fibers.append((y, basis))
-        ranks.setdefault(r, y)
-        if r > n + 1:
-            f.fail(
-                f"fiber span has rank {r} > {n + 1}: the fiber points are inconsistent "
-                "(this usually signals non-multiplicative data upstream)",
-                {"base_point": y, "rank": r},
-            )
-        if expected is not None and not spans_equal(
-            basis, expected.fiber_matrix_at(y), DEFAULT_RTOL
-        ):
-            f.fail(
-                "extracted fiber differs from the expected structure",
-                {"base_point": y, "rank": r, "expected_rank": expected.rank},
-            )
-
-    if len(ranks) > 1:
-        f.fail(
-            f"rank jumps across base points: {sorted(ranks)}",
-            {"points": list(ranks.values())[:2], "ranks": sorted(ranks)},
-        )
-    elif ranks and next(iter(ranks)) != n + 1:
-        r = next(iter(ranks))
-        f.fail(
-            f"extracted rank {r} differs from dim M + 1 = {n + 1}", {"base_point": ranks[r], "rank": r}
-        )
-    return ExtractionResult(f.result(mode="sampled"), tuple(fibers))
+    pushed = pushed_null_space(unknowns, N + 1, f)
+    pushed_elim = _eliminate(pushed, h)
+    rank = certified_rank(pushed_elim, f)
+    if rank != n + 1:
+        f.fail(f"extracted rank {rank} differs from dim M + 1 = {n + 1}", {"rank": rank})
+        return f.result()
+    if expected is None:
+        through_unit = gm.unit.compose(gm.target)
+        other = [[through_unit.pull_expr(v) for v in column] for column in pushed]
+        ranks_differ = "extracted fiber has rank {} here and {} at the unit"
+        leaves = "generator {} of the extracted fiber varies along the target fiber"
+    else:
+        other = [[gm.target.pull_expr(v) for v in g.rows()] for g in expected.generators]
+        ranks_differ = "extracted fiber has rank {}, the expected structure {}"
+        leaves = "extracted fiber differs from the expected structure"
+    compare_spans(f, pushed, pushed_elim, _eliminate(other, h), policy, gm.total.coords, name,
+                  ranks_differ, leaves)
+    return f.result()
 
 
 # --------------------------------------------------------------------------

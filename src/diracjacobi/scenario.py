@@ -508,9 +508,9 @@ def _equivalence_commutes(policy, name, data, factor, expected):
             pre, name=name, details=("transformed data fails the precontact check",) + pre.details
         )
     base = extract_LM(gm, pd, policy, name=f"{name}:base")
-    if not base.result.passed:
-        return base.result
-    return extract_LM(gm, pd2, policy, expected=conformal_change(expected, factor), name=name).result
+    if not base.passed:
+        return base
+    return extract_LM(gm, pd2, policy, expected=conformal_change(expected, factor), name=name)
 
 
 # fn(policy, name, **args) -> CheckResult
@@ -564,10 +564,8 @@ CHECKS: dict[str, Kind] = {
         _omega_descends, Ref("omega", "forms"), Value("fiber", str, "u"),
         Expression("sigma", lambda got: tuple(c for c in got["omega"].chart.coords if c != got["fiber"]))),
     "extract-structure": Kind(
-        lambda policy, name, data, expected, fiber_samples: extract_LM(
-            *data, policy, expected=expected, fiber_samples=fiber_samples, name=name).result,
-        Ref("data", "precontact"), Ref("expected", "structures", False),
-        Value("fiber-samples", int, 5)),
+        lambda policy, name, data, expected: extract_LM(*data, policy, expected=expected, name=name),
+        Ref("data", "precontact"), Ref("expected", "structures", False)),
     "equivalence-commutes": Kind(
         _equivalence_commutes, Ref("data", "precontact"),
         Expression("factor", lambda got: got["data"][0].base.coords, "1"), Ref("expected", "structures")),

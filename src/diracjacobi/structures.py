@@ -15,6 +15,10 @@ deterministic randomized sampling:
   operations on the section; the rows it leaves over vanish exactly when the
   section lies in the span, and they are zero-tested like any other identity.
 
+A forward map is decided the same way: the pushforward fiber is the null space
+of one symbolic linear system, read off one elimination, and it is compared
+with the target frame by ranks and leftover rows.
+
 The construction catalogue covers structures induced by a 1-form, by a
 bivector/vector-field pair, by lifting a Dirac structure into E1, graphs of
 2-forms and bivectors, conformal changes, and the associated homogeneous
@@ -26,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,13 +59,6 @@ from .courant import (
     pairing_e1,
     pairing_tm,
 )
-from .linalg import (
-    DEFAULT_RTOL,
-    matrix_rank,
-    null_space,
-    orthonormal_columns,
-    spans_equal,
-)
 from .report import CheckResult, Findings, error_result
 from .symcalc import (
     Constant,
@@ -76,6 +73,7 @@ from .symcalc import (
     as_expr,
     check_zero_all,
     coord,
+    differentiate,
     is_nonvanishing,
     is_structurally_zero,
     normalize,
@@ -161,6 +159,61 @@ def certified_rank(elim: Elimination, f: Findings) -> int:
     return len(elim.pivots)
 
 
+def _unit(height: int, r: int) -> list[Expr]:
+    return [ONE if k == r else ZERO for k in range(height)]
+
+
+def _reduce(elim: Elimination, column: Sequence[Expr]) -> list[Expr]:
+    """``column`` with the elimination's steps replayed on it."""
+    rows = [[v] for v in column]
+    for step in elim.steps:
+        _replay(step, rows)
+    return [r[0] for r in rows]
+
+
+def leftover(elim: Elimination, column: Sequence[Expr]) -> tuple[Expr, ...]:
+    """The rows ``column`` leaves over in ``elim``: all zero iff it lies in the span."""
+    reduced = _reduce(elim, column)
+    return tuple(reduced[r] for r in elim.free_rows)
+
+
+def pushed_null_space(
+    unknowns: Sequence[tuple[Sequence[Expr], Sequence[Expr]]], height: int, f: Findings
+) -> list[list[Expr]]:
+    """Solve a linear system given per unknown as (its column, its push): a null-space
+    basis read off one elimination of the columns, one relation v per column without
+    a pivot (that column less its expansion in the pivot columns), each sent to
+    sum_k v_k push_k.  ``f`` notes an uncertified pivot."""
+    elim = _eliminate([column for column, _ in unknowns], height)
+    certified_rank(elim, f)
+    pushed = []
+    for j, (column, push) in enumerate(unknowns):
+        if j not in elim.pivots:
+            reduced, terms = _reduce(elim, column), [[v] for v in push]
+            for k, r in elim.pivots.items():
+                if not is_structurally_zero(reduced[r]):
+                    for row, v in enumerate(unknowns[k][1]):
+                        if not is_structurally_zero(v):
+                            terms[row].append(_signed(-1, reduced[r], v))
+            pushed.append([_total(t) for t in terms])
+    return pushed
+
+
+def compare_spans(f: Findings, a: Sequence[Sequence[Expr]], a_elim: Elimination,
+                  b_elim: Elimination, policy: SamplingPolicy, coords: Sequence[str],
+                  label: str, ranks_differ: str, leaves: str) -> None:
+    """Record in ``f`` whether the columns ``a`` span what the eliminated ``b`` spans:
+    the two certified ranks agree, and each column of ``a`` leaves zero rows in ``b``.
+    A FAIL reads ``ranks_differ.format(rank_a, rank_b)`` or ``leaves.format(i)``."""
+    ranks = certified_rank(a_elim, f), certified_rank(b_elim, f)
+    if ranks[0] != ranks[1]:
+        f.fail(ranks_differ.format(*ranks), {"ranks": list(ranks)})
+        return
+    for i, column in enumerate(a):
+        rep = check_zero_all(leftover(b_elim, column), policy, coords, f"{label}:{i}")
+        f.zero(rep, leaves.format(i), generator=i)
+
+
 @dataclass(frozen=True)
 class FrameSubbundle:
     """Globally framed candidate structure with a declared rank."""
@@ -212,12 +265,10 @@ class FrameSubbundle:
     def expand(self, s: Section) -> Expansion:
         """Solve sum_k c_k e_k = s for expressions c_k: the elimination replayed on s."""
         elim = self.elimination
-        column = [[v] for v in s.rows()]
-        for step in elim.steps:
-            _replay(step, column)
-        coefficients = (column[elim.pivots[c]][0] if c in elim.pivots else ZERO
+        reduced = _reduce(elim, s.rows())
+        coefficients = (reduced[elim.pivots[c]] if c in elim.pivots else ZERO
                         for c in range(len(self.generators)))
-        return Expansion(tuple(coefficients), tuple(column[r][0] for r in elim.free_rows),
+        return Expansion(tuple(coefficients), tuple(reduced[r] for r in elim.free_rows),
                          len(elim.pivots))
 
 
@@ -434,13 +485,9 @@ def check_structures_equal(
             f"charts have different coordinates: {A.chart.coords} vs {B.chart.coords}",
         )
     f = Findings(name)
-    ranks = certified_rank(A.elimination, f), certified_rank(B.elimination, f)
-    if ranks[0] != ranks[1]:
-        f.fail(f"ranks differ: {ranks[0]} against {ranks[1]}", {"ranks": list(ranks)})
-        return f.result()
-    for i, g in enumerate(A.generators):
-        rep = check_zero_all(B.expand(g).leftover, policy, A.chart.coords, f"{name}:{i}")
-        f.zero(rep, f"generator {i} of the first frame leaves the span of the second", generator=i)
+    compare_spans(f, [g.rows() for g in A.generators], A.elimination, B.elimination, policy,
+                  A.chart.coords, name, "ranks differ: {} against {}",
+                  "generator {} of the first frame leaves the span of the second")
     return f.result()
 
 
@@ -452,12 +499,13 @@ def check_forward_map(
     anti: bool = False,
     name: str = "forward-map",
 ) -> CheckResult:
-    """Decide whether F pushes L_src onto L_dst fiberwise.
+    """Decide whether F pushes L_src onto L_dst.
 
-    At each sampled source point p the pushforward fiber is assembled by
-    linear algebra: all (X, f, xi, g) with (X, f) + (F* xi, g) in L_src|_p,
-    with X then pushed through the Jacobian.  With anti=True the target is
-    compared with its form half negated.
+    The pushforward fiber at a source point p is all ((dF) X, f, xi, g) with
+    (X, f) + (F* xi, g) in L_src at p.  Each unknown X, f, xi, g gives one column
+    of that condition: the rows its embedding leaves over in L_src's elimination.
+    Their null space, pushed through the Jacobian, must span L_dst at F(p), the
+    rows of L_dst substituted along F; with anti=True their form half is negated.
     """
     if L_src.ambient is not L_dst.ambient:
         return error_result(name, "source and target frames live in different ambients")
@@ -467,44 +515,24 @@ def check_forward_map(
         return error_result(name, "map target chart differs from the target frame chart")
 
     m, n = F.source.dim, F.target.dim
-    e1 = L_src.ambient is Ambient.E1
+    e = int(L_src.ambient is Ambient.E1)  # the f and g rows
+    hs, ht = L_src.fiber_dim, L_dst.fiber_dim
+    J = [[differentiate(c, x) for x in F.source.coords] for c in F.components]
+    # per unknown: its column (X, f, F* xi, g) in the source fiber, and its push
+    unknowns = [(_unit(hs, i), [J[a][i] for a in range(n)] + [ZERO] * (ht - n)) for i in range(m)]
+    unknowns += [([ZERO] * (m + e) + J[a] + [ZERO] * e, _unit(ht, n + e + a)) for a in range(n)]
+    if e:
+        unknowns += [(_unit(hs, m), _unit(ht, n)), (_unit(hs, hs - 1), _unit(ht, ht - 1))]
+
     f = Findings(name)
-    for p in policy.float_points(F.source.coords, f"{name}:points"):
-        q = F.evaluate(p)
-        J = F.jacobian_at(p)
-        B = L_src.fiber_matrix_at(p)
-        Q = orthonormal_columns(B, DEFAULT_RTOL)
-        perp = np.eye(B.shape[0]) - Q @ Q.T
-
-        if e1:
-            E = np.zeros((2 * m + 2, m + n + 2))
-            E[:m, :m] = np.eye(m)
-            E[m, m] = 1.0
-            E[m + 1 : 2 * m + 1, m + 1 : m + 1 + n] = J.T
-            E[2 * m + 1, m + 1 + n] = 1.0
-            D = np.zeros((2 * n + 2, m + n + 2))
-            D[:n, :m] = J
-            D[n, m] = 1.0
-            D[n + 1 : 2 * n + 1, m + 1 : m + 1 + n] = np.eye(n)
-            D[2 * n + 1, m + 1 + n] = 1.0
-        else:
-            E = np.zeros((2 * m, m + n))
-            E[:m, :m] = np.eye(m)
-            E[m:, m:] = J.T
-            D = np.zeros((2 * n, m + n))
-            D[:n, :m] = J
-            D[n:, m:] = np.eye(n)
-
-        sols = null_space(perp @ E, DEFAULT_RTOL)
-        pushed = D @ sols
-        target = L_dst.fiber_matrix_at(q)
-        if anti:  # negate the form half: rows from n on, or after the f row over E1
-            target[n + (L_dst.ambient is Ambient.E1) :, :] *= -1.0
-        expected = L_dst.expected_rank
-        got = matrix_rank(pushed, DEFAULT_RTOL)
-        if got != expected and not f.details:
-            f.note(f"pushforward fiber has rank {got}, expected {expected}")
-        if not spans_equal(pushed, target, DEFAULT_RTOL):
-            f.fail(witness={"point": p, "image": q, "pushforward_rank": got})
-            break
-    return f.result(mode="sampled")
+    src = L_src.elimination
+    certified_rank(src, f)
+    system = [(leftover(src, embedded), push) for embedded, push in unknowns]
+    pushed = pushed_null_space(system, len(src.free_rows), f)
+    target = [[F.pull_expr(v) for v in g.rows()] for g in L_dst.generators]
+    if anti:
+        target = [col[: n + e] + [normalize(-v) for v in col[n + e :]] for col in target]
+    compare_spans(f, pushed, _eliminate(pushed, ht), _eliminate(target, ht), policy,
+                  F.source.coords, name, "pushforward fiber has rank {}, expected {}",
+                  "generator {} of the pushforward fiber leaves the target structure")
+    return f.result()

@@ -250,6 +250,97 @@ def cocycle_at_points(L, values, points, tol: float = 1e-7) -> bool:
     return True
 
 
+def forward_map_at_points(F, L_src, L_dst, policy, anti=False, name="forward-map") -> bool:
+    """Whether F pushes L_src onto L_dst at the policy's float points.
+
+    The float check ``check_forward_map`` used to run: at each point the
+    pushforward fiber is the null space of the (X, f, xi, g) whose embedding
+    (X, f, F* xi, g) has no component off an orthonormal basis of L_src, pushed
+    through the Jacobian and compared by SVD subspace angles with L_dst at F(p).
+    """
+    from diracjacobi.linalg import DEFAULT_RTOL, null_space, orthonormal_columns, spans_equal
+    from diracjacobi.structures import Ambient
+
+    m, n = F.source.dim, F.target.dim
+    e1 = L_src.ambient is Ambient.E1
+    for p in policy.float_points(F.source.coords, f"{name}:points"):
+        J = F.jacobian_at(p)
+        Q = orthonormal_columns(L_src.fiber_matrix_at(p), DEFAULT_RTOL)
+        perp = np.eye(Q.shape[0]) - Q @ Q.T
+        if e1:
+            E = np.zeros((2 * m + 2, m + n + 2))
+            E[:m, :m] = np.eye(m)
+            E[m, m] = 1.0
+            E[m + 1 : 2 * m + 1, m + 1 : m + 1 + n] = J.T
+            E[2 * m + 1, m + 1 + n] = 1.0
+            D = np.zeros((2 * n + 2, m + n + 2))
+            D[:n, :m] = J
+            D[n, m] = 1.0
+            D[n + 1 : 2 * n + 1, m + 1 : m + 1 + n] = np.eye(n)
+            D[2 * n + 1, m + 1 + n] = 1.0
+        else:
+            E = np.zeros((2 * m, m + n))
+            E[:m, :m] = np.eye(m)
+            E[m:, m:] = J.T
+            D = np.zeros((2 * n, m + n))
+            D[:n, :m] = J
+            D[n:, m:] = np.eye(n)
+        pushed = D @ null_space(perp @ E, DEFAULT_RTOL)
+        target = L_dst.fiber_matrix_at(F.evaluate(p))
+        if anti:  # negate the form half: rows from n on, or after the f row over E1
+            target[n + e1 :, :] *= -1.0
+        if not spans_equal(pushed, target, DEFAULT_RTOL):
+            return False
+    return True
+
+
+def extraction_at_points(gm, pd, policy, expected=None, fiber_samples=5,
+                         name="extract-base-structure") -> bool:
+    """Whether the base fibers read off float points of the target fibers agree.
+
+    The float check ``extract_LM`` used to run: over up to 20 base points y and
+    ``fiber_samples`` points g of each target fiber (a coordinate projection),
+    the solutions of target*(xi) = i_X d eta + F eta, G = -eta(X) are pushed to
+    ((d target) X, F, xi, G) by SVD null spaces; the stacked fibers must have
+    one rank dim M + 1 across base points and, with ``expected``, span its fiber.
+    """
+    from diracjacobi.chart_tensor import exterior_derivative
+    from diracjacobi.groupoid import sample_fiber
+    from diracjacobi.linalg import DEFAULT_RTOL, null_space, orthonormal_columns, spans_equal
+
+    n, N = gm.base.dim, gm.total.dim
+    deta = exterior_derivative(pd.eta)
+    rng = policy.rng(f"{name}:fibers")
+    ranks = set()
+    for y in policy.float_points(gm.base.coords, f"{name}:base", min(policy.count, 20)):
+        collected = []
+        for g in sample_fiber(gm.target, y, rng, policy.box, fiber_samples):
+            W = deta.matrix_at(g)  # W[i, j] = d eta(e_i, e_j)
+            eta_vec = pd.eta.covector_at(g)
+            Jb = gm.target.jacobian_at(g)
+            rows = np.zeros((N + 1, N + n + 2))
+            # rows j: sum_m Jb[m, j] xi_m - sum_i W[i, j] X_i - eta_j F = 0
+            rows[:N, :N] = -W.T
+            rows[:N, N] = -eta_vec
+            rows[:N, N + 1 : N + 1 + n] = Jb.T
+            # row N: G + eta(X) = 0
+            rows[N, :N] = eta_vec
+            rows[N, N + 1 + n] = 1.0
+            push = np.zeros((2 * n + 2, N + n + 2))
+            push[:n, :N] = Jb
+            push[n, N] = 1.0
+            push[n + 1 : 2 * n + 1, N + 1 : N + 1 + n] = np.eye(n)
+            push[2 * n + 1, N + 1 + n] = 1.0
+            collected.append(push @ null_space(rows, DEFAULT_RTOL))
+        basis = orthonormal_columns(np.hstack(collected), DEFAULT_RTOL)
+        ranks.add(basis.shape[1])
+        if expected is not None and not spans_equal(
+            basis, expected.fiber_matrix_at(y), DEFAULT_RTOL
+        ):
+            return False
+    return ranks == {n + 1}
+
+
 def poly_product(polys, nvars: int) -> dict:
     """Product of polynomials stored as {exponent tuple: coefficient} dicts.
 

@@ -125,7 +125,7 @@ def test_criterion_2_groupoid_and_extraction():
             assert check_multiplicative_function(gm, pd.sigma, POLICY).passed
             assert check_precontact(gm, pd, POLICY).passed
             out = extract_LM(gm, pd, POLICY, expected=construct_L_theta(theta))
-            assert out.result.passed  # subspace equality at threshold 1e-9
+            assert out.passed  # subspace equality at threshold 1e-9
 
 
 def test_criterion_3_correspondence():
@@ -257,7 +257,7 @@ def test_criterion_6_action_iso_and_conformal_coherence():
         assert check_precontact(gm, pd2, POLICY).passed
         expected = conformal_change(Ltheta, phi)
         out = extract_LM(gm, pd2, POLICY, expected=expected)
-        assert out.result.passed
+        assert out.passed
 
 
 def test_criterion_7_calculus_kernel():

@@ -49,7 +49,7 @@ from diracjacobi.structures import (
 from diracjacobi.symcalc import ONE, ZERO, coord, normalize, parse
 
 from conftest import RandomTensors
-from oracles import unit_kernel_dim
+from oracles import extraction_at_points, forward_map_at_points, unit_kernel_dim
 
 
 def P(chart, text):
@@ -220,6 +220,13 @@ class TestPrecontact:
         r = check_precontact(line_model, pd, policy)
         assert r.verdict is CheckVerdict.FAIL
         assert r.details[0] == "sigma is not multiplicative"
+
+    @pytest.mark.parametrize("sigma, mode", [("1", "symbolic"), ("x1", "sampled")])
+    def test_nonmultiplicative_sigma_keeps_its_mode(self, M1, line_model, policy, sigma, mode):
+        pd0 = eta_from_precontact_form(line_model, coordinate_form(M1, "x"))
+        r = check_precontact(line_model, PrecontactData(pd0.eta, P(line_model.total, sigma)), policy)
+        assert r.verdict is CheckVerdict.FAIL and r.mode == mode
+        assert r.details == ("sigma is not multiplicative",)
 
     def test_wrong_dimension_errors(self, r2, policy):
         gm = pair_groupoid(r2)
@@ -460,21 +467,20 @@ class TestExtraction:
         theta = coordinate_form(M1, "x")
         pd = eta_from_precontact_form(line_model, theta)
         out = extract_LM(line_model, pd, policy, expected=construct_L_theta(theta))
-        assert out.result.passed
-        assert out.fibers and all(b.shape[1] == 2 for _, b in out.fibers)
+        assert out.passed
 
     def test_plane_fixture_matches(self, r2, plane_model, policy):
         theta = DifferentialForm(r2, 1, {(1,): P(r2, "x")})
         pd = eta_from_precontact_form(plane_model, theta)
         out = extract_LM(plane_model, pd, policy, expected=construct_L_theta(theta))
-        assert out.result.passed
+        assert out.passed
 
     def test_mismatched_expectation_fails(self, r2, plane_model, policy):
         theta = DifferentialForm(r2, 1, {(1,): P(r2, "x")})
         pd = eta_from_precontact_form(plane_model, theta)
         wrong = construct_L_theta(DifferentialForm(r2, 1, {(0,): P(r2, "y")}))
         out = extract_LM(plane_model, pd, policy, expected=wrong)
-        assert out.result.verdict is CheckVerdict.FAIL
+        assert out.verdict is CheckVerdict.FAIL
 
     def test_beta_is_forward_map_onto_extraction(self, M1, line_model, policy):
         # the target map pushes the total-space 1-form structure forward
@@ -484,6 +490,63 @@ class TestExtraction:
         L_eta = construct_L_theta(pd.eta)
         r = check_forward_map(line_model.target, L_eta, construct_L_theta(theta), policy)
         assert r.passed
+
+    def test_fiber_samples_is_an_unknown_argument(self, tmp_path, capsys):
+        p = tmp_path / "extract.scn"
+        p.write_text(
+            "charts: {M: [x]}\n"
+            "groupoids: {G: {kind: pair-line, base: M}}\n"
+            "forms: {theta: {chart: M, degree: 1, coeffs: {x: '1'}}}\n"
+            "precontact: {PD: {groupoid: G, theta: theta}}\n"
+            "checks: [{check: extract-structure, data: PD, fiber-samples: 5}]\n"
+        )
+        assert main(["run", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown argument 'fiber-samples'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fixture, data", [
+        ("negative_controls", "PDdropped1"), ("precontact_contact", "PD"),
+        ("precontact_line", "PD"), ("precontact_xdy", "PD")])
+    def test_fiber_through_the_unit_without_expected_frame(self, fixture, data):
+        scenario = load_scenario(resolve_scenario_path(fixture))
+        r = extract_LM(*scenario.precontact[data], scenario.policy)
+        assert r.verdict is CheckVerdict.PASS, r.details
+
+
+FIBER_KINDS = ("forward-map", "extract-structure", "equivalence-commutes")
+
+
+def float_fiber_verdict(spec, policy) -> bool:
+    """The PASS the deleted float fiber path gives a shipped check."""
+    a = spec.args
+    if spec.kind == "forward-map":
+        return forward_map_at_points(a["map"], a["source"], a["target"], policy, a["anti"],
+                                     name=spec.name)
+    gm, pd = a["data"]
+    if spec.kind == "extract-structure":
+        return extraction_at_points(gm, pd, policy, a["expected"], name=spec.name)
+    factor = ConformalFactor(a["factor"], gm.base)
+    pd2 = equivalence_transform(pd, factor, gm)
+    return (check_precontact(gm, pd2, policy).passed
+            and extraction_at_points(gm, pd, policy, name=f"{spec.name}:base")
+            and extraction_at_points(gm, pd2, policy, conformal_change(a["expected"], factor),
+                                     name=spec.name))
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_fiber_verdicts_match_the_float_oracles(seed):
+    count = 0
+    for fixture in fixture_names():
+        scenario = load_scenario(resolve_scenario_path(fixture))
+        names = [c.name for c in scenario.checks if c.kind in FIBER_KINDS]
+        if not names:
+            continue
+        report = run_scenario(scenario, seed=seed, only=names)
+        for outcome in report.outcomes:
+            assert outcome.ok
+            assert outcome.result.passed == float_fiber_verdict(outcome.spec, report.policy)
+            count += 1
+    assert count == 12
 
 
 class TestEquivalence:
@@ -513,10 +576,10 @@ class TestEquivalence:
         pd2 = equivalence_transform(pd, factor, plane_model)
         expected = conformal_change(construct_L_theta(theta), factor)
         out = extract_LM(plane_model, pd2, policy, expected=expected)
-        assert out.result.passed
+        assert out.passed
         # and the unconformal expectation now fails
         out2 = extract_LM(plane_model, pd2, policy, expected=construct_L_theta(theta))
-        assert out2.result.verdict is CheckVerdict.FAIL
+        assert out2.verdict is CheckVerdict.FAIL
 
 
 class TestContactForm:
