@@ -19,39 +19,19 @@ restriction of the (extended) Courant bracket.  On top of that live:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 from .chart_tensor import (
-    Chart,
-    ChartError,
-    DifferentialForm,
-    VectorField,
-    coordinate_field,
-)
-from .courant import SectionE1, SectionTM, courant_bracket
+    Chart, ChartError, DifferentialForm, VectorField, _interior_terms, _signed, _total)
+from .courant import HALF, SectionE1, SectionTM, courant_bracket
 from .report import CheckResult, Findings, error_result
 from .structures import (
-    Ambient,
-    FrameExpansionError,
-    FrameSubbundle,
-    Section,
-    check_involutivity,
-    check_maximal_isotropy,
-    induced_dirac_on_MxR,
-)
+    Ambient, Expansion, FrameExpansionError, FrameSubbundle, Section, check_involutivity,
+    check_maximal_isotropy, induced_dirac_on_MxR)
 from .symcalc import (
-    Exp,
-    Expr,
-    ZERO,
-    ONE,
-    SamplingPolicy,
-    as_expr,
-    check_zero_all,
-    coord,
-    differentiate,
-    is_structurally_zero,
-    normalize,
-)
+    Exp, Expr, ZERO, ONE, SamplingPolicy, as_expr, check_zero_all, coord, differentiate,
+    is_structurally_zero, normalize)
 
 
 @dataclass(frozen=True)
@@ -74,15 +54,13 @@ def extract_cocycle(L: FrameSubbundle) -> Cocycle1:
 class AlgebroidOnL:
     """Anchor and restricted bracket of a verified structure frame.
 
-    Structure functions (the frame expansions of generator brackets) are
-    computed symbolically on demand by FrameSubbundle.expand; every shipped
-    construction carries an identity sub-block, so no spurious quotients
-    appear.
+    Structure functions are the frame expansions of generator brackets, which the
+    frame computes once each (FrameSubbundle.bracket_expansion); every shipped
+    construction carries an identity sub-block, so no spurious quotients appear.
     """
 
     def __init__(self, L: FrameSubbundle):
         self.L = L
-        self._structure: dict[tuple[int, int], tuple[Expr, ...]] = {}
 
     def anchor_of(self, i: int) -> VectorField:
         return self.L.generators[i].X
@@ -93,21 +71,22 @@ class AlgebroidOnL:
     def structure_coefficients(self, i: int, j: int) -> tuple[Expr, ...]:
         """Expansion of bracket(e_i, e_j) in the frame (antisymmetric in i, j
         for the skew E1 bracket)."""
-        if (i, j) not in self._structure:
-            self._structure[(i, j)] = frame_expand_symbolic(self.L, self.bracket_pair(i, j))
-        return self._structure[(i, j)]
+        return _in_span(self.L.bracket_expansion(i, j))
 
 
 def frame_expand_symbolic(L: FrameSubbundle, s: Section) -> tuple[Expr, ...]:
     """Frame coefficients of s, which must leave structurally zero rows over."""
-    coefficients, leftover, _ = L.expand(s)
-    if not all(is_structurally_zero(v) for v in leftover):
+    return _in_span(L.expand(s))
+
+
+def _in_span(expansion: Expansion) -> tuple[Expr, ...]:
+    if not all(is_structurally_zero(v) for v in expansion.leftover):
         raise FrameExpansionError("section does not lie in the frame span")
-    return coefficients
+    return expansion.coefficients
 
 
 # --------------------------------------------------------------------------
-# cochain checks
+# cochain checks: each identity is collected as raw terms and normalized once
 # --------------------------------------------------------------------------
 
 
@@ -121,10 +100,8 @@ def _expand_brackets(
     table = {}
     for i in range(len(L.generators)):
         for j in range(i + 1, len(L.generators)):
-            coefficients, leftover, _ = L.expand(A.bracket_pair(i, j))
-            rep = check_zero_all(
-                leftover, policy, coords=L.chart.coords, label=f"{f.name}:span:{i},{j}"
-            )
+            coefficients, leftover, _ = L.bracket_expansion(i, j)
+            rep = check_zero_all(leftover, policy, L.chart.coords, f"{f.name}:span:{i},{j}")
             if not rep.is_zero:
                 return error_result(
                     f.name,
@@ -136,9 +113,11 @@ def _expand_brackets(
     return table
 
 
-def _combine(coefficients: tuple[Expr, ...], values) -> Expr:
-    """sum_m c_m values_m."""
-    return sum((c * v for c, v in zip(coefficients, values)), start=ZERO)
+def _combine(coefficients: Sequence[Expr], values: Sequence[Expr], sign: int = 1) -> list[Expr]:
+    """The raw terms of sign * sum_m c_m values_m."""
+    return [_signed(sign, v) if c == ONE else _signed(sign, c, v)
+            for c, v in zip(coefficients, values)
+            if not (is_structurally_zero(c) or is_structurally_zero(v))]
 
 
 def check_cocycle(
@@ -157,10 +136,10 @@ def check_cocycle(
     if isinstance(structure, CheckResult):
         return structure
     for (i, j), coefficients in structure.items():
-        identity = (
-            A.anchor_of(i).apply(phi.values[j])
-            - A.anchor_of(j).apply(phi.values[i])
-            - _combine(coefficients, phi.values)
+        identity = _total(
+            A.anchor_of(i)._apply_terms(phi.values[j], 1)
+            + A.anchor_of(j)._apply_terms(phi.values[i], -1)
+            + _combine(coefficients, phi.values, -1)
         )
         rep = check_zero_all([identity], policy, coords=L.chart.coords, label=f"{name}:{i},{j}")
         f.zero(rep, f"cocycle identity fails on generators ({i}, {j})", pair=[i, j])
@@ -176,6 +155,7 @@ class FrameCochain2:
 
     @classmethod
     def from_table(cls, size: int, table: Mapping[tuple[int, int], Expr]) -> "FrameCochain2":
+        """A table that names each pair at most once, as (i, j) or as (j, i)."""
         out: dict[tuple[int, int], Expr] = {}
         for (i, j), v in table.items():
             v = normalize(as_expr(v))
@@ -183,12 +163,10 @@ class FrameCochain2:
                 if not is_structurally_zero(v):
                     raise ChartError("2-cochain has a nonzero diagonal entry")
                 continue
-            if i > j:
-                i, j, v = j, i, normalize(as_expr(-1) * v)
-            if (i, j) in out:
-                out[(i, j)] = out[(i, j)] + v
-            else:
-                out[(i, j)] = v
+            key = (min(i, j), max(i, j))
+            if key in out:
+                raise ChartError(f"2-cochain names the pair {key} in both orientations")
+            out[key] = v if i < j else -v
         return cls(size, tuple(sorted(out.items())))
 
     @classmethod
@@ -202,26 +180,19 @@ class FrameCochain2:
                 table[(i, j)] = fn(L.generators[i], L.generators[j])
         return cls.from_table(k, table)
 
+    @cached_property
+    def _values(self) -> dict[tuple[int, int], Expr]:
+        """Every stored pair in both orientations."""
+        return {**dict(self.entries), **{(j, i): -v for (i, j), v in self.entries}}
+
     def value(self, i: int, j: int) -> Expr:
-        if i == j:
-            return ZERO
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for key, v in self.entries:
-            if key == (i, j):
-                return v if sign > 0 else normalize(as_expr(-1) * v)
-        return ZERO
+        return self._values.get((i, j), ZERO)
 
 
 def omega_skew_half(a: SectionTM, b: SectionTM) -> Expr:
     """The closed 2-section of a Dirac frame: (xi_1(X_2) - xi_2(X_1)) / 2."""
-    from .chart_tensor import interior_product
-    from fractions import Fraction
-
-    return as_expr(Fraction(1, 2)) * (
-        interior_product(b.X, a.xi).scalar() - interior_product(a.X, b.xi).scalar()
-    )
+    terms = _interior_terms(a.X, b.xi, _interior_terms(b.X, a.xi, {}, by=(HALF,)), -1, by=(HALF,))
+    return _total(terms.get((), []))
 
 
 def algebroid_differential_2(
@@ -247,17 +218,15 @@ def algebroid_differential_2(
     for i in range(k):
         for j in range(i + 1, k):
             for l in range(j + 1, k):
-                d_omega = (
-                    A.anchor_of(i).apply(Omega.value(j, l))
-                    - A.anchor_of(j).apply(Omega.value(i, l))
-                    + A.anchor_of(l).apply(Omega.value(i, j))
-                    - _combine(structure[(i, j)], column[l])
-                    + _combine(structure[(i, l)], column[j])
-                    - _combine(structure[(j, l)], column[i])
+                d_omega = _total(
+                    A.anchor_of(i)._apply_terms(Omega.value(j, l), 1)
+                    + A.anchor_of(j)._apply_terms(Omega.value(i, l), -1)
+                    + A.anchor_of(l)._apply_terms(Omega.value(i, j), 1)
+                    + _combine(structure[(i, j)], column[l], -1)
+                    + _combine(structure[(i, l)], column[j], 1)
+                    + _combine(structure[(j, l)], column[i], -1)
                 )
-                rep = check_zero_all(
-                    [d_omega], policy, coords=L.chart.coords, label=f"{name}:{i},{j},{l}"
-                )
+                rep = check_zero_all([d_omega], policy, L.chart.coords, f"{name}:{i},{j},{l}")
                 f.zero(rep, f"d Omega is nonzero on generators ({i}, {j}, {l})", triple=[i, j, l])
     return f.result()
 
@@ -314,13 +283,16 @@ class TimeSection:
         h = as_expr(h)
         return TimeSection(self.L, self.chart, self.time, tuple(h * c for c in self.coeffs))
 
+    @cached_property
     def d_dt(self) -> "TimeSection":
-        return TimeSection(
-            self.L,
-            self.chart,
-            self.time,
-            tuple(differentiate(c, self.time) for c in self.coeffs),
-        )
+        rates = tuple(differentiate(c, self.time) for c in self.coeffs)
+        return TimeSection(self.L, self.chart, self.time, rates)
+
+    @cached_property
+    def base_anchor(self) -> VectorField:
+        """sum_m c_m X_m on the product chart, with no d/dt part."""
+        lifted = [g.X.components + (ZERO,) for g in self.L.generators]
+        return VectorField(self.chart, tuple(map(_total, _linear_rows(self.coeffs, lifted))))
 
     def realize(self) -> SectionE1:
         """Concrete quadruple over the product chart: sum_k c_k e_k."""
@@ -337,21 +309,26 @@ def _lift_section(s: SectionE1, chart: Chart) -> SectionE1:
     return SectionE1(X, s.f, xi, s.g)
 
 
+def _linear_rows(coeffs: Sequence[Expr], columns: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
+    """The raw terms of each row of sum_m c_m columns_m."""
+    rows: list[list[Expr]] = [[] for _ in columns[0]]
+    for c, column in zip(coeffs, columns):
+        for r, v in enumerate(column):
+            rows[r] += _combine((c,), (v,))
+    return rows
+
+
 def cocycle_value(phi: Cocycle1, ts: TimeSection) -> Expr:
-    return normalize(sum((c * v for c, v in zip(ts.coeffs, phi.values)), start=ZERO))
+    return _total(_combine(ts.coeffs, phi.values))
 
 
 def action_algebroid_anchor(
     A: AlgebroidOnL, phi: Cocycle1, ts: TimeSection
 ) -> VectorField:
     """rho^phi(X) = rho(X_t) + phi(X_t) d/dt on the product chart."""
-    chart = ts.chart
-    out = VectorField.zero(chart)
-    for c, g in zip(ts.coeffs, A.L.generators):
-        lifted = VectorField(chart, tuple(g.X.components) + (ZERO,))
-        out = out + lifted.scale(c)
-    out = out + coordinate_field(chart, ts.time).scale(cocycle_value(phi, ts))
-    return out
+    components = list(ts.base_anchor.components)
+    components[ts.chart.index(ts.time)] = cocycle_value(phi, ts)
+    return VectorField(ts.chart, tuple(components))
 
 
 def action_algebroid_bracket(
@@ -362,47 +339,38 @@ def action_algebroid_bracket(
     The frozen-t bracket is expanded by bilinearity over the frame, using the
     symbolic structure functions of A and base-coordinate derivatives only
     (valid because the frame is isotropic, hence function-linear up to anchor
-    terms).
+    terms).  Each slot is collected as raw terms and normalized once.
     """
-    if a.L is not A.L and a.L != A.L:
+    if any(s.L is not A.L and s.L != A.L for s in (a, b)):
         raise ChartError("TimeSection belongs to a different frame")
     if a.chart != b.chart or a.time != b.time:
         raise ChartError("TimeSections live on different product charts")
-    k = len(A.L.generators)
-    chart = a.chart
-    rho_a = action_algebroid_anchor(A, Cocycle1((ZERO,) * k), a)  # base part only
-    rho_b = action_algebroid_anchor(A, Cocycle1((ZERO,) * k), b)
-    phi_a = cocycle_value(phi, a)
-    phi_b = cocycle_value(phi, b)
-    da = a.d_dt()
-    db = b.d_dt()
-
-    coeffs = [ZERO] * k
-    for i in range(k):
-        if is_structurally_zero(a.coeffs[i]):
-            continue
-        for j in range(k):
-            if is_structurally_zero(b.coeffs[j]):
-                continue
-            struct = A.structure_coefficients(i, j)
-            w = a.coeffs[i] * b.coeffs[j]
-            for m in range(k):
-                if not is_structurally_zero(struct[m]):
-                    coeffs[m] = coeffs[m] + w * struct[m]
-    for m in range(k):
-        coeffs[m] = (
-            coeffs[m]
-            + rho_a.apply(b.coeffs[m])
-            - rho_b.apply(a.coeffs[m])
-            + phi_a * db.coeffs[m]
-            - phi_b * da.coeffs[m]
-        )
-    return TimeSection(A.L, chart, a.time, tuple(coeffs))
+    phi_a, phi_b = cocycle_value(phi, a), cocycle_value(phi, b)
+    slots: list[list[Expr]] = [[] for _ in A.L.generators]
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            if not (is_structurally_zero(ai) or is_structurally_zero(bj)):
+                for m, c in enumerate(A.structure_coefficients(i, j)):
+                    if not is_structurally_zero(c):
+                        slots[m].append(_signed(1, ai, bj, c))
+    for m, terms in enumerate(slots):
+        terms += a.base_anchor._apply_terms(b.coeffs[m], 1)
+        terms += b.base_anchor._apply_terms(a.coeffs[m], -1)
+        terms += _combine((phi_a,), (b.d_dt.coeffs[m],)) + _combine((phi_b,), (a.d_dt.coeffs[m],), -1)
+    return TimeSection(A.L, a.chart, a.time, tuple(map(_total, slots)))
 
 
 # --------------------------------------------------------------------------
 # the isomorphism check with the induced structure on M x R
 # --------------------------------------------------------------------------
+
+
+def psi(images: Sequence[SectionTM], ts: TimeSection) -> SectionTM:
+    """The image sum_m c_m images_m of a TimeSection, one normalization per row."""
+    chart, n = ts.chart, ts.chart.dim
+    rows = [_total(terms) for terms in _linear_rows(ts.coeffs, [g.rows() for g in images])]
+    form = DifferentialForm(chart, 1, {(r,): v for r, v in enumerate(rows[n:])})
+    return SectionTM(VectorField(chart, tuple(rows[:n])), form)
 
 
 def check_action_iso(
@@ -416,8 +384,10 @@ def check_action_iso(
     the twisted action bracket with the Courant bracket.
 
     Tested on all pairs drawn from the unit TimeSections and their t-linear
-    multiples.  drop_scale=True omits the exponential factor from the map
-    (negative control: the identity then fails whenever the cocycle acts).
+    multiples: each test section's image is built once, and each pair's rows
+    lhs_r - rhs_r are collected as raw terms and normalized once.
+    drop_scale=True omits the exponential factor from the map (negative
+    control: the identity then fails whenever the cocycle acts).
     """
     iso = check_maximal_isotropy(L, policy, name=f"{name}:pre-isotropy")
     inv = check_involutivity(L, policy, name=f"{name}:pre-involutivity")
@@ -429,45 +399,34 @@ def check_action_iso(
     Ltilde = induced_dirac_on_MxR(L, time=time)
     chart = Ltilde.chart
 
+    images = Ltilde.generators
     if drop_scale:
         decay = normalize(as_expr(1) / normalize(Exp(coord(time))))
-        images = tuple(SectionTM(g.X, g.xi.scale(decay)) for g in Ltilde.generators)
-    else:
-        images = Ltilde.generators
-
-    def psi(ts: TimeSection) -> SectionTM:
-        out = SectionTM.zero(chart)
-        for c, img in zip(ts.coeffs, images):
-            out = out + img.scale(c)
-        return out
+        images = tuple(SectionTM(g.X, g.xi.scale(decay)) for g in images)
+    columns = [g.rows() for g in images]
 
     k = len(L.generators)
-    tvar = coord(time)
     sections = [TimeSection.unit(L, chart, time, i) for i in range(k)]
-    sections += [s.scale(tvar) for s in sections[:k]]
+    sections += [s.scale(coord(time)) for s in sections]
+    psis = [psi(images, s) for s in sections]
 
     f = Findings(name)
     for i in range(len(sections)):
         for j in range(i + 1, len(sections)):
-            a, b = sections[i], sections[j]
-            lhs = psi(action_algebroid_bracket(A, phi, a, b))
-            rhs = courant_bracket(psi(a), psi(b))
-            diff = lhs - rhs
-            exprs = list(diff.X.components) + list(diff.xi.coefficients())
-            rep = check_zero_all(exprs, policy, coords=chart.coords, label=f"{name}:{i},{j}")
+            lhs = action_algebroid_bracket(A, phi, sections[i], sections[j])
+            rows = _linear_rows(lhs.coeffs, columns)
+            for terms, v in zip(rows, courant_bracket(psis[i], psis[j]).rows()):
+                terms += _combine((ONE,), (v,), -1)
+            rep = check_zero_all(
+                [_total(t) for t in rows], policy, coords=chart.coords, label=f"{name}:{i},{j}"
+            )
             f.zero(rep, f"bracket images differ for test sections ({i}, {j})", sections=[i, j])
     # anchor consistency is structural: the vector slot of psi matches the
     # twisted anchor by construction; assert it on the unit sections anyway,
     # outside the residual statistics, which measure the bracket identity
     for i, s in enumerate(sections[:k]):
-        va = action_algebroid_anchor(A, phi, s)
-        vb = psi(s).X
-        rep = check_zero_all(
-            [x - y for x, y in zip(va.components, vb.components)],
-            policy,
-            coords=chart.coords,
-            label=f"{name}:anchor:{i}",
-        )
-        if not rep.is_zero:
+        va = action_algebroid_anchor(A, phi, s).components
+        rows = [x - y for x, y in zip(va, psis[i].X.components)]
+        if not check_zero_all(rows, policy, chart.coords, f"{name}:anchor:{i}").is_zero:
             f.fail(f"anchor image differs for generator {i}")
     return f.result()

@@ -317,7 +317,8 @@ class Generators(NamedTuple):
 
 
 class Cochain(NamedTuple):
-    """``skew-pairing`` or a table ``"i,j": expr`` on the frame of ``structure``."""
+    """``skew-pairing`` or a table ``"i,j": expr`` on the frame of ``structure``, each
+    pair named at most once, as i,j or as j,i."""
 
     key: str
 
@@ -335,10 +336,14 @@ class Cochain(NamedTuple):
             if len(parts) != 2 or not all(p.isdecimal() and int(p) < size for p in parts):
                 b.fail(f"{where}: {self.key} index '{key}' must be i,j with 0 <= i, j < {size}")
                 return _BAD
+            i, j = int(parts[0]), int(parts[1])
+            if (j, i) in table or (i, j) in table:
+                b.fail(f"{where}: {self.key} names the pair {min(i, j)},{max(i, j)} twice")
+                return _BAD
             e = b.expr_on(L.chart.coords, text, f"{where}, {self.key} {key}")
             if e is None:
                 return _BAD
-            table[(int(parts[0]), int(parts[1]))] = e
+            table[(i, j)] = e
         return table
 
 

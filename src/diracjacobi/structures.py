@@ -14,6 +14,7 @@ deterministic randomized sampling:
   in the generator span.  FrameSubbundle.expand replays the elimination's row
   operations on the section; the rows it leaves over vanish exactly when the
   section lies in the span, and they are zero-tested like any other identity.
+  Each generator bracket and its expansion are computed once per frame.
 
 A forward map is decided the same way: the pushforward fiber is the null space
 of one symbolic linear system, read off one elimination, and it is compared
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -214,6 +215,17 @@ def compare_spans(f: Findings, a: Sequence[Sequence[Expr]], a_elim: Elimination,
         f.zero(rep, leaves.format(i), generator=i)
 
 
+def _once_per_frame(method):
+    """Keep a method's results on the frame, so that none outlives the frame."""
+    @wraps(method)
+    def cached(self, *args):
+        memo = self.__dict__.setdefault(method.__name__ + "_memo", {})
+        if args not in memo:
+            memo[args] = method(self, *args)
+        return memo[args]
+    return cached
+
+
 @dataclass(frozen=True)
 class FrameSubbundle:
     """Globally framed candidate structure with a declared rank."""
@@ -252,10 +264,23 @@ class FrameSubbundle:
         tm = self.ambient is Ambient.TM_TSTAR
         return (pairing_tm if tm else pairing_e1)(self.generators[i], self.generators[j])
 
+    @_once_per_frame
     def bracket(self, i: int, j: int) -> Section:
         tm = self.ambient is Ambient.TM_TSTAR
         return (courant_bracket if tm else extended_courant_bracket)(
             self.generators[i], self.generators[j])
+
+    @_once_per_frame
+    def bracket_expansion(self, i: int, j: int) -> Expansion:
+        """expand(bracket(i, j)); the pivot rule samples under SamplingPolicy(), so it is
+        the same under every policy.  The E1 bracket is skew: there (j, i) is (i, j)
+        negated, with no second bracket, and (i, i) is zero."""
+        if self.ambient is Ambient.E1 and i > j:
+            coefficients, rest, rank = self.bracket_expansion(j, i)
+            return Expansion(tuple(-v for v in coefficients), tuple(-v for v in rest), rank)
+        if self.ambient is Ambient.E1 and i == j:
+            return self.expand(SectionE1.zero(self.chart))
+        return self.expand(self.bracket(i, j))
 
     @cached_property
     def elimination(self) -> Elimination:
@@ -459,12 +484,10 @@ def check_involutivity(
     f = Findings(name)
     for i in range(len(L.generators)):
         for j in range(i + 1, len(L.generators)):
-            value = L.bracket(i, j)
-            if value.is_structurally_zero():
+            if L.bracket(i, j).is_structurally_zero():
                 continue
-            rep = check_zero_all(
-                L.expand(value).leftover, policy, coords=L.chart.coords, label=f"{name}:{i},{j}"
-            )
+            rep = check_zero_all(L.bracket_expansion(i, j).leftover, policy,
+                                 coords=L.chart.coords, label=f"{name}:{i},{j}")
             f.zero(rep, f"bracket of generators ({i}, {j}) leaves the span", pair=[i, j])
     return f.result()
 

@@ -608,7 +608,10 @@ def _normalize(e: Expr) -> Expr:
         if isinstance(base, Constant):
             if base.value == 0 and n < 0:
                 return IntegerPower(base, n)  # singular literal
-            return Constant(base.value**n)
+            limit, v = sys.get_int_max_str_digits(), base.value
+            if limit and abs(n) * math.log10(max(abs(v.numerator), v.denominator)) >= limit:
+                raise ExprError(f"a constant to the power {n} has more than {limit} digits")
+            return Constant(v**n)
         if isinstance(base, IntegerPower):
             return normalize(IntegerPower(base.base, base.exponent * n))
         if isinstance(base, Product):
@@ -795,13 +798,13 @@ class _Parser:
                 kind, value, pos = self.tokens.next()
             if kind != "number" or "." in value:
                 raise ExprSyntaxError("exponent must be an integer literal", pos)
-            return IntegerPower(base, sign * int(value))
+            return IntegerPower(base, sign * int(_literal(value, pos)))
         return base
 
     def atom(self) -> Expr:
         kind, value, pos = self.tokens.next()
         if kind == "number":
-            return Constant(Fraction(value))
+            return Constant(_literal(value, pos))
         if kind == "ident":
             if value in FUNCTIONS:
                 k, v, p = self.tokens.next()
@@ -822,6 +825,13 @@ class _Parser:
                 raise ExprSyntaxError("expected ')'", p)
             return e
         raise ExprSyntaxError("expected a number, symbol, or '('", pos)
+
+
+def _literal(text: str, pos: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ExprSyntaxError(f"number literal of {len(text)} characters is too long", pos) from None
 
 
 def parse(text: str, coords: Sequence[str]) -> Expr:

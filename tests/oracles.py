@@ -4,8 +4,8 @@ The numeric oracles avoid the package's symbolic differentiation and sparse
 index bookkeeping: derivatives come from central finite differences, flows
 from RK4 integration, and alternating tensors from dense sign tables, so a
 bug in the symbolic path cannot hide in the oracle.  The symbolic references
-at the end keep earlier, simpler implementations of the brackets, pairings
-and tokenizer that the faster ones must agree with.
+at the end keep earlier, simpler implementations of the brackets, pairings,
+action algebroid and tokenizer that the faster ones must agree with.
 """
 
 from __future__ import annotations
@@ -17,14 +17,24 @@ import numpy as np
 
 from diracjacobi.chart_tensor import (
     DifferentialForm,
+    VectorField,
+    coordinate_field,
     differential,
     exterior_derivative,
     interior_product,
     lie_bracket,
     lie_derivative,
 )
-from diracjacobi.courant import SectionE1, SectionTM
-from diracjacobi.symcalc import ExprSyntaxError, as_expr, evaluate, is_structurally_zero
+from diracjacobi.courant import SectionE1, SectionTM, extended_courant_bracket
+from diracjacobi.symcalc import (
+    ZERO,
+    ExprSyntaxError,
+    as_expr,
+    differentiate,
+    evaluate,
+    is_structurally_zero,
+    normalize,
+)
 
 H = 1e-6
 HALF = as_expr(Fraction(1, 2))
@@ -459,6 +469,73 @@ def chained_extended_bracket(a, b):
     )
     g = a.X.apply(b.g) - b.X.apply(a.g) + HALF * (i21 - i12 - b.f * a.g + a.f * b.g)
     return SectionE1(lie_bracket(a.X, b.X), a.X.apply(b.f) - b.X.apply(a.f), form, g)
+
+
+# --------------------------------------------------------------------------
+# chained action algebroid: every sum and scaling normalizes again, and every
+# ordered generator pair is bracketed and expanded afresh
+# --------------------------------------------------------------------------
+
+
+def chained_psi(images, ts):
+    """sum_m c_m images_m, one section sum per generator."""
+    out = SectionTM.zero(ts.chart)
+    for c, img in zip(ts.coeffs, images):
+        out = out + img.scale(c)
+    return out
+
+
+def _chained_cocycle_value(phi, ts):
+    return normalize(sum((c * v for c, v in zip(ts.coeffs, phi.values)), start=ZERO))
+
+
+def chained_action_anchor(A, phi, ts):
+    """rho^phi(X) = rho(X_t) + phi(X_t) d/dt, one vector-field sum per generator."""
+    chart = ts.chart
+    out = VectorField.zero(chart)
+    for c, g in zip(ts.coeffs, A.L.generators):
+        lifted = VectorField(chart, tuple(g.X.components) + (ZERO,))
+        out = out + lifted.scale(c)
+    return out + coordinate_field(chart, ts.time).scale(_chained_cocycle_value(phi, ts))
+
+
+def chained_action_bracket(A, phi, a, b):
+    """[a, b]^phi = [a_t, b_t] + phi(a_t) db/dt - phi(b_t) da/dt, slot by slot, with
+    the structure functions of each ordered pair (i, j) expanded from a fresh
+    bracket of generators i and j."""
+    L = A.L
+    k = len(L.generators)
+    zero_phi = type(phi)((ZERO,) * k)
+    rho_a = chained_action_anchor(A, zero_phi, a)  # base part only
+    rho_b = chained_action_anchor(A, zero_phi, b)
+    phi_a = _chained_cocycle_value(phi, a)
+    phi_b = _chained_cocycle_value(phi, b)
+    da = [differentiate(c, a.time) for c in a.coeffs]
+    db = [differentiate(c, b.time) for c in b.coeffs]
+
+    coeffs = [ZERO] * k
+    for i in range(k):
+        if is_structurally_zero(a.coeffs[i]):
+            continue
+        for j in range(k):
+            if is_structurally_zero(b.coeffs[j]):
+                continue
+            bracket = extended_courant_bracket(L.generators[i], L.generators[j])
+            struct, leftover, _ = L.expand(bracket)
+            assert all(is_structurally_zero(v) for v in leftover)
+            w = a.coeffs[i] * b.coeffs[j]
+            for m in range(k):
+                if not is_structurally_zero(struct[m]):
+                    coeffs[m] = coeffs[m] + w * struct[m]
+    for m in range(k):
+        coeffs[m] = (
+            coeffs[m]
+            + rho_a.apply(b.coeffs[m])
+            - rho_b.apply(a.coeffs[m])
+            + phi_a * db[m]
+            - phi_b * da[m]
+        )
+    return coeffs
 
 
 # --------------------------------------------------------------------------

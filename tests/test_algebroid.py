@@ -1,8 +1,11 @@
 """Algebroid layer: cocycles, cochains, central extension, action bracket."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from diracjacobi import structures
 from diracjacobi.algebroid import (
     AlgebroidOnL,
     Cocycle1,
@@ -18,9 +21,11 @@ from diracjacobi.algebroid import (
     extract_cocycle,
     frame_expand_symbolic,
     omega_skew_half,
+    psi,
 )
 from diracjacobi.chart_tensor import (
     Chart,
+    ChartError,
     DifferentialForm,
     Multivector,
     VectorField,
@@ -31,16 +36,19 @@ from diracjacobi.chart_tensor import (
     product_chart,
     wedge,
 )
-from diracjacobi.courant import SectionE1, extended_courant_bracket
+from diracjacobi.courant import SectionE1, SectionTM, extended_courant_bracket
 from diracjacobi.linalg import least_squares_coefficients
 from diracjacobi.report import CheckVerdict
+from diracjacobi.scenario import load_scenario, run_scenario
 from diracjacobi.structures import (
     construct_L_jacobi,
     construct_L_theta,
     graph_of_two_form,
+    induced_dirac_on_MxR,
     lift_dirac,
 )
-from diracjacobi.symcalc import ONE, ZERO, coord, is_structurally_zero, normalize, parse
+from diracjacobi.symcalc import Exp, ONE, ZERO, coord, is_structurally_zero, normalize, parse
+from oracles import chained_action_anchor, chained_action_bracket, chained_psi
 
 
 def P(chart, text):
@@ -380,3 +388,125 @@ class TestActionAlgebroid:
         )
         r = check_action_iso(worse, policy)
         assert r.verdict is CheckVerdict.ERROR
+
+
+# --------------------------------------------------------------------------
+# the one-pass action algebroid against the chained reference
+# --------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "diracjacobi" / "fixtures"
+
+
+def _shipped_action_iso_frames():
+    """(frame, time) of every shipped action-iso check."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.scn")):
+        for spec in load_scenario(path).checks:
+            if spec.kind == "action-iso":
+                args = spec.args
+                out.append(pytest.param(args["structure"], args["time"],
+                                        id=f"{path.stem}/{spec.name}"))
+    return out
+
+
+def _test_sections(L, time):
+    """The unit TimeSections and their multiples by the time coordinate."""
+    chart = product_chart(L.chart, time)
+    sections = [TimeSection.unit(L, chart, time, i) for i in range(len(L.generators))]
+    return sections + [s.scale(coord(time)) for s in sections]
+
+
+def _images(L, time, drop_scale):
+    images = induced_dirac_on_MxR(L, time=time).generators
+    if drop_scale:
+        decay = normalize(ONE / normalize(Exp(coord(time))))
+        images = tuple(SectionTM(g.X, g.xi.scale(decay)) for g in images)
+    return images
+
+
+class TestOnePassActionAlgebroid:
+    @pytest.mark.parametrize("L, time", _shipped_action_iso_frames())
+    def test_agrees_with_chained_reference(self, L, time):
+        A = AlgebroidOnL(L)
+        phi = extract_cocycle(L)
+        sections = _test_sections(L, time)
+        for drop_scale in (False, True):
+            images = _images(L, time, drop_scale)
+            for s in sections:
+                assert psi(images, s).rows() == chained_psi(images, s).rows()
+            for a in sections:
+                for b in sections:
+                    got = action_algebroid_bracket(A, phi, a, b)
+                    assert list(got.coeffs) == chained_action_bracket(A, phi, a, b)
+                    assert psi(images, got).rows() == chained_psi(images, got).rows()
+        for s in sections:
+            assert (action_algebroid_anchor(A, phi, s).components
+                    == chained_action_anchor(A, phi, s).components)
+
+    def test_bracket_rejects_a_second_section_of_another_frame(self, L_xdy, r2):
+        other = construct_L_theta(DifferentialForm(r2, 1, {(1,): P(r2, "x + y^2")}))
+        A = AlgebroidOnL(L_xdy)
+        C = product_chart(r2, "t")
+        a = TimeSection.unit(L_xdy, C, "t", 0)
+        b = TimeSection.unit(other, C, "t", 1)
+        with pytest.raises(ChartError, match="different frame"):
+            action_algebroid_bracket(A, extract_cocycle(L_xdy), a, b)
+        with pytest.raises(ChartError, match="different frame"):
+            action_algebroid_bracket(A, extract_cocycle(L_xdy), b, a)
+
+
+class TestBracketsOncePerFrame:
+    @pytest.fixture
+    def frames(self, r3):
+        Q = Chart("Q", ("x1", "y1", "x2", "y2"))
+        alpha = DifferentialForm(Q, 1, {(1,): P(Q, "x1"), (3,): P(Q, "x2 + x1*x2")})
+        contact = construct_L_theta(DifferentialForm(r3, 1, {(2,): ONE, (0,): P(r3, "-y")}))
+        jacobi = construct_L_jacobi(
+            Multivector(r3, 2, {(0, 1): P(r3, "z")}), VectorField.from_dict(r3, {"x": P(r3, "y")}))
+        return [contact, jacobi, graph_of_two_form(exterior_derivative(alpha))]
+
+    def test_cached_expansion_equals_a_fresh_one(self, frames):
+        for L in frames:
+            k = len(L.generators)
+            for i in range(k):
+                for j in range(k):
+                    cached = L.bracket_expansion(i, j)
+                    assert L.bracket_expansion(i, j) is cached
+                    assert cached == L.expand(L.bracket(i, j))
+
+    def test_each_generator_pair_of_a_lifted_frame_is_bracketed_once(self, monkeypatch):
+        calls = []
+        for fn in (structures.extended_courant_bracket, structures.courant_bracket):
+            def counting(a, b, fn=fn):
+                calls.append((a, b))
+                return fn(a, b)
+            monkeypatch.setattr(structures, fn.__name__, counting)
+        scn = load_scenario(FIXTURES / "dirac_lift.scn")
+        assert all(o.ok for o in run_scenario(scn).outcomes)
+        for name, L in scn.structures.items():
+            pairs = _bracketed_pairs(calls, L.generators)
+            assert len(pairs) == len(set(pairs)) and all(i < j for i, j in pairs), name
+        k = len(scn.structures["LiftForm"].generators)
+        assert sorted(_bracketed_pairs(calls, scn.structures["LiftForm"].generators)) == [
+            (i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+def _bracketed_pairs(calls, gens):
+    """The generator index pairs (i, j) of every call bracketing generator i with j."""
+    index = {id(g): i for i, g in enumerate(gens)}
+    return [(index[id(a)], index[id(b)]) for a, b in calls if id(a) in index and id(b) in index]
+
+
+class TestCochainOrientation:
+    def test_both_orientations_of_a_pair_are_rejected(self, r2):
+        x = P(r2, "x")
+        for table in ({(0, 1): x, (1, 0): normalize(-x)}, {(0, 1): x, (1, 0): x}):
+            with pytest.raises(ChartError, match="both orientations"):
+                FrameCochain2.from_table(2, table)
+
+    def test_one_orientation_reads_both_ways(self, r2):
+        x = P(r2, "x")
+        Om = FrameCochain2.from_table(3, {(1, 0): x, (1, 2): ONE})
+        assert Om.value(1, 0) == x and Om.value(0, 1) == normalize(-x)
+        assert Om.value(2, 1) == normalize(-ONE) and Om.value(0, 2) == ZERO
+        assert Om.value(1, 1) == ZERO

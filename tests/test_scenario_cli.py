@@ -173,13 +173,20 @@ ONE_CHECK = "checks: [{check: involutivity, structure: L0}]\n"
          "      pair_left: [x1, y1, x2, y2], pair_right: [x2, y2, '2*x3', y3],\n"
          "      multiplication: [x1, y1, x3, y3]}\n" + ONE_CHECK,
          "groupoid 'E': pair coordinates ['x3'] are no plain component"),
+        ('checks: [{check: closed-2-cochain, structure: L0, omega: {"0,1": "x", "1,0": "-x"}}]\n',
+         "omega names the pair 0,1 twice"),
+        ('checks: [{check: expr-zero, chart: M, expr: "' + "9" * 5000 + ' - x"}]\n',
+         "expr: number literal of 5000 characters is too long"),
+        ('checks: [{check: expr-zero, chart: M, expr: "2^99999999 - x"}]\n',
+         f"more than {sys.get_int_max_str_digits()} digits"),
     ],
     ids=["box-not-numbers", "tol-not-a-number", "box-empty", "cochain-index-not-integers",
          "cochain-index-three-slots", "cochain-index-out-of-range", "cocycle-values-not-a-list",
          "expression-does-not-parse", "flag-not-boolean", "unknown-argument", "degree-not-integer",
          "coeffs-misspelt", "expression-key-misspelt", "field-key-misspelt",
          "precontact-key-misspelt", "top-level-key-misspelt", "top-level-section-misspelt",
-         "pair-coordinate-not-read-off"],
+         "pair-coordinate-not-read-off", "cochain-pair-in-both-orientations",
+         "literal-past-the-int-conversion-limit", "constant-power-past-the-int-conversion-limit"],
 )
 def test_malformed_values_exit_2_at_load(tmp_path, capsys, extra, problem):
     p = tmp_path / "malformed.scn"

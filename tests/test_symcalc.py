@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import random
+import sys
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -16,6 +17,7 @@ from diracjacobi.symcalc import (
     Cos,
     EvaluationError,
     Exp,
+    ExprError,
     ExprSyntaxError,
     IntegerPower,
     Ln,
@@ -83,6 +85,19 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as err:
             parse(text, XY)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["9" * 5000, "1." + "5" * 5000, "x^" + "9" * 5000])
+    def test_literal_past_the_int_conversion_limit_is_a_syntax_error(self, text):
+        with pytest.raises(ExprSyntaxError, match="too long"):
+            parse(text, XY)
+
+    @pytest.mark.parametrize("text", ["2^99999999 - x", "(1/3)^-99999999", "(-7)^6000 + y"])
+    def test_constant_power_past_the_int_conversion_limit(self, text):
+        with pytest.raises(ExprError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+            parse(text, XY)
+
+    def test_constant_power_within_the_limit_folds(self):
+        assert parse("10^4000", XY) == Constant(Fraction(10**4000))
 
     def test_decimal_literals_exact(self):
         assert parse("2.5", XY) == Constant(Fraction(5, 2))
