@@ -980,7 +980,6 @@ def run_scenario(
             box=policy.box,
             tol_abs=policy.tol_abs if tol is None else tol,
             tol_rel=policy.tol_rel if tol is None else tol,
-            resample_factor=policy.resample_factor,
         )
     outcomes = []
     for spec in scenario.checks:

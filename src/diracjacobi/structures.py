@@ -475,13 +475,15 @@ def check_involutivity(
     L: FrameSubbundle, policy: SamplingPolicy, name: str = "involutivity"
 ) -> CheckResult:
     """Every generator bracket lies in the generator span: the rows its frame
-    expansion leaves over are zero-tested."""
-    rank = len(L.elimination.pivots)
+    expansion leaves over are zero-tested.  An uncertified pivot makes only a PASS
+    sampled: a nonzero leftover row fails off the pivots' zero set, an open set."""
+    f = Findings(name)
+    rank = certified_rank(L.elimination, f)
     if rank != L.expected_rank:
         return error_result(
             name, f"frame is rank-deficient: rank {rank} instead of {L.expected_rank}"
         )
-    f = Findings(name)
+    rank_mode, f.mode = f.mode, "symbolic"
     for i in range(len(L.generators)):
         for j in range(i + 1, len(L.generators)):
             if L.bracket(i, j).is_structurally_zero():
@@ -489,7 +491,7 @@ def check_involutivity(
             rep = check_zero_all(L.bracket_expansion(i, j).leftover, policy,
                                  coords=L.chart.coords, label=f"{name}:{i},{j}")
             f.zero(rep, f"bracket of generators ({i}, {j}) leaves the span", pair=[i, j])
-    return f.result()
+    return f.result("sampled" if f.ok and rank_mode == "sampled" else None)
 
 
 def check_structures_equal(

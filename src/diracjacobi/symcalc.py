@@ -2,8 +2,9 @@
 
 The expression language is deliberately small: exact rational constants,
 coordinates, sums, products, quotients, integer powers, and the elementary
-functions exp, ln, sin, cos.  Normalization is structural only (flatten,
-fold constants, collect identical monomials, merge exponentials).  Products
+functions exp, ln, sin, cos (one ``Function`` node family).  Normalization
+is structural only (flatten, fold constants, collect identical monomials,
+merge exponentials, and keep only a sum under a quotient).  Products
 of sums, positive powers of sums included, are multiplied out in full, one
 sum at a time, with equal monomials collected as they form.  Inside one
 product every monomial is a packed exponent key: its atoms (the bases of its
@@ -154,28 +155,52 @@ class IntegerPower(Expr):
     exponent: int
 
 
-@_node
-class Exp(Expr):
-    arg: Expr
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvaluationError("exp overflows a float") from None
+
+
+def _ln(x: float) -> float:
+    if x <= 0:
+        raise EvaluationError("ln of a non-positive argument")
+    return math.log(x)
 
 
 @_node
-class Ln(Expr):
+class Function(Expr):
+    """An elementary function of one argument.  Each subclass carries its name
+    in the grammar, its rank in the sort order and its float function."""
+
     arg: Expr
 
+    def scale(self, value: float, arg_scale: float) -> float:
+        """The magnitude scale of ``value``, the function at an argument of scale ``arg_scale``."""
+        return max(1.0, arg_scale)
 
-@_node
-class Sin(Expr):
-    arg: Expr
+
+class Exp(Function):
+    name, rank, function = "exp", 3, staticmethod(_exp)
+
+    def scale(self, value: float, arg_scale: float) -> float:
+        return value * (1.0 + arg_scale)
 
 
-@_node
-class Cos(Expr):
-    arg: Expr
+class Ln(Function):
+    name, rank, function = "ln", 4, staticmethod(_ln)
+
+
+class Sin(Function):
+    name, rank, function = "sin", 5, staticmethod(math.sin)
+
+
+class Cos(Function):
+    name, rank, function = "cos", 6, staticmethod(math.cos)
 
 
 # the elementary functions, by their names in the expression grammar
-FUNCTIONS = {"exp": Exp, "ln": Ln, "sin": Sin, "cos": Cos}
+FUNCTIONS = {f.name: f for f in Function.__subclasses__()}
 
 ZERO = Constant(Fraction(0))
 ONE = Constant(Fraction(1))
@@ -195,6 +220,19 @@ def as_expr(value) -> Expr:
 
 def coord(name: str) -> Coordinate:
     return Coordinate(name)
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of a node; a constant or coordinate has none."""
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Quotient):
+        return (e.numerator, e.denominator)
+    if isinstance(e, IntegerPower):
+        return (e.base,)
+    return (e.arg,) if isinstance(e, Function) else ()
 
 
 def free_coordinates(e: Expr) -> frozenset[str]:
@@ -221,15 +259,7 @@ def _free_coordinates_impl(e: Expr) -> frozenset[str]:
             else:
                 factors.add(t)
         return frozenset().union(*map(free_coordinates, factors))
-    if isinstance(e, Product):
-        return frozenset().union(*map(free_coordinates, e.factors))
-    if isinstance(e, Quotient):
-        return free_coordinates(e.numerator) | free_coordinates(e.denominator)
-    if isinstance(e, IntegerPower):
-        return free_coordinates(e.base)
-    if isinstance(e, (Exp, Ln, Sin, Cos)):
-        return free_coordinates(e.arg)
-    raise TypeError(f"unknown node {e!r}")
+    return frozenset().union(*map(free_coordinates, _children(e)))
 
 
 # --------------------------------------------------------------------------
@@ -255,14 +285,8 @@ def _sort_key_impl(e: Expr):
         return (1, e.name, ())
     if isinstance(e, IntegerPower):
         return (2, str(e.exponent), (_sort_key(e.base),))
-    if isinstance(e, Exp):
-        return (3, "", (_sort_key(e.arg),))
-    if isinstance(e, Ln):
-        return (4, "", (_sort_key(e.arg),))
-    if isinstance(e, Sin):
-        return (5, "", (_sort_key(e.arg),))
-    if isinstance(e, Cos):
-        return (6, "", (_sort_key(e.arg),))
+    if isinstance(e, Function):
+        return (e.rank, "", (_sort_key(e.arg),))
     if isinstance(e, Quotient):
         return (7, "", (_sort_key(e.numerator), _sort_key(e.denominator)))
     if isinstance(e, Sum):
@@ -283,16 +307,24 @@ _POWERS: "weakref.WeakValueDictionary[tuple[Expr, int], IntegerPower]" = (
 def _constant(value: int | Fraction) -> Constant:
     node = _CONSTANTS.get(value)
     if node is None:
-        node = _CONSTANTS[value] = Constant(Fraction(value))
+        # a folded coefficient too long to render; 2^(3*limit) < 10^limit
+        limit, v = sys.get_int_max_str_digits(), Fraction(value)
+        big = max(abs(v.numerator), v.denominator)
+        if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ExprError(f"a folded constant has more than {limit} digits")
+        node = _CONSTANTS[value] = Constant(v)
     return node
 
 
-def _power(base: Expr, n: int) -> IntegerPower:
+def _power(base: Expr, n: int) -> Expr:
+    """base^n as a monomial factor.  A power of a quotient is the quotient of the
+    powers; any other power is one shared node, marked normal (a sum or product
+    base here is one that an exp merge left as a factor, and it stays)."""
+    if isinstance(base, Quotient):
+        return normalize(IntegerPower(base, n))
     node = _POWERS.get((base, n))
     if node is None:
-        node = _POWERS[(base, n)] = IntegerPower(base, n)
-        if _multiplies_back(node):
-            _mark(node)
+        node = _POWERS[(base, n)] = _mark(IntegerPower(base, n))
     return node
 
 
@@ -352,11 +384,27 @@ def _base_exponent(f: Expr) -> tuple[Expr, int]:
     return (f.base, f.exponent) if isinstance(f, IntegerPower) else (f, 1)
 
 
+def _one_quotient(coeff: int | Fraction, factors: list[Expr]) -> tuple[int | Fraction, list[Expr]]:
+    """A monomial's quotient factors as one: the product of their numerators over
+    the product of their denominators, so that (q*q)*q, q*q*q and q^3 agree.  A
+    product of denominators that multiplies out to no sum keeps them apart."""
+    quotients = [f for f in factors if isinstance(f, Quotient)]
+    if len(quotients) < 2:
+        return coeff, factors
+    merged = normalize(Quotient(Product(tuple(q.numerator for q in quotients)),
+                                Product(tuple(q.denominator for q in quotients))))
+    rest = [f for f in factors if not isinstance(f, Quotient)]
+    if isinstance(merged, Constant):
+        return coeff * _exact(merged.value), rest
+    return (coeff, rest + [merged]) if isinstance(merged, Quotient) else (coeff, factors)
+
+
 def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]]:
     """Multiply normalized factors that are not sums into (coefficient, monomial).
 
     Constants fold into the coefficient, exp factors merge into one, repeated
-    bases combine into integer powers, and the factors come out sorted.
+    bases combine into integer powers, quotients into one quotient, and the
+    factors come out sorted.
     """
     coeff: int | Fraction = 1
     exp_args: list[Expr] = []
@@ -383,6 +431,7 @@ def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]
         powers[base] = powers.get(base, 0) + n
     out = [base if n == 1 else _power(base, n) for base, n in powers.items() if n != 0]
     if len(out) > 1:
+        coeff, out = _one_quotient(coeff, out)
         out.sort(key=_sort_key)
     return coeff, tuple(out)
 
@@ -488,6 +537,7 @@ def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]
         acc = {eo: {k: c for k, c in part.items() if c != 0} for eo, part in out.items()}
 
     bases = list(slots)
+    quotients = any(isinstance(base, Quotient) for base in bases)
     mask, sign = (1 << width) - 1, 1 << (width - 1)
     powers: dict[tuple[int, int], Expr] = {}  # (slot, exponent) -> factor
     buckets: dict[tuple[Expr, ...], int | Fraction] = {}
@@ -507,8 +557,12 @@ def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]
                         f = powers[(slot, n)] = base if n == 1 else _power(base, n)
                     fs.append(f)
             if len(fs) > 1:
+                if quotients:
+                    c, fs = _one_quotient(c, fs)
                 fs.sort(key=_sort_key)
-            buckets[tuple(fs)] = c
+            # two quotients can merge into a third that another term holds
+            t = tuple(fs)
+            buckets[t] = buckets.get(t, 0) + c if quotients else c
     return buckets
 
 
@@ -551,6 +605,12 @@ def _product_terms(e: Product) -> dict[tuple[Expr, ...], int | Fraction]:
 
 
 def _normalize(e: Expr) -> Expr:
+    """One normal form per value.  Products of sums are multiplied out into
+    sorted monomials, each with at most one quotient factor.  Only a sum stays
+    under a quotient: a one-term denominator becomes the negative powers of
+    its factors.  A power of a product, quotient or exp is taken factor by
+    factor, and a power of a sum is multiplied out, a negative one as 1 over
+    the positive one."""
     if isinstance(e, Sum):
         buckets: dict[tuple[Expr, ...], int | Fraction] = {}
 
@@ -577,26 +637,14 @@ def _normalize(e: Expr) -> Expr:
     if isinstance(e, Quotient):
         num = normalize(e.numerator)
         den = normalize(e.denominator)
-        if isinstance(den, Constant):
-            if den.value == 0:
-                return Quotient(num, den)  # singular; evaluation will report it
-            return normalize(Product((num, Constant(1 / den.value))))
-        if isinstance(num, Constant) and num.value == 0:
+        if den == ZERO:
+            return Quotient(num, den)  # singular; evaluation will report it
+        if not isinstance(den, Sum):
+            return normalize(Product((num, IntegerPower(den, -1))))
+        if num == ZERO:
             return ZERO
-        # pull the rational coefficient and the exp factors of the denominator
-        # into the numerator: c*exp(a)*u in a denominator is 1/c*exp(-a) over u
-        dcoeff, dfactors = _split_term(den)
-        exps = [f for f in dfactors if isinstance(f, Exp)]
-        if dcoeff != 1 or exps:
-            inverted = (Exp(Product((MINUS_ONE, f.arg))) for f in exps)
-            num = normalize(Product((Constant(1 / dcoeff), num, *inverted)))
-            den = _make_term(Fraction(1), tuple(f for f in dfactors if not isinstance(f, Exp)))
-            if den == ONE:
-                return num
         ratio = _ratio(num, den)
-        if ratio is not None:
-            return _constant(ratio)
-        return Quotient(num, den)
+        return Quotient(num, den) if ratio is None else _constant(ratio)
 
     if isinstance(e, IntegerPower):
         base = normalize(e.base)
@@ -617,53 +665,35 @@ def _normalize(e: Expr) -> Expr:
         if isinstance(base, Product):
             return normalize(Product(tuple(IntegerPower(f, n) for f in base.factors)))
         if isinstance(base, Quotient):
-            if n > 0:
-                return normalize(
-                    Quotient(IntegerPower(base.numerator, n), IntegerPower(base.denominator, n))
-                )
-            return normalize(
-                Quotient(IntegerPower(base.denominator, -n), IntegerPower(base.numerator, -n))
-            )
+            num, den = base.numerator, base.denominator
+            if n < 0:
+                if den == ZERO:
+                    return IntegerPower(base, n)  # singular; no swap makes it 0
+                num, den = den, num
+            return normalize(Quotient(IntegerPower(num, abs(n)), IntegerPower(den, abs(n))))
         if isinstance(base, Exp):
             return normalize(Exp(Product((Constant(Fraction(n)), base.arg))))
-        if isinstance(base, Sum) and n > 0:
-            return normalize(Product((base,) * n))
-        return IntegerPower(base, n)
+        if isinstance(base, Sum):
+            power = normalize(Product((base,) * abs(n)))
+            return power if n > 0 else normalize(Quotient(ONE, power))
+        return _power(base, n)
 
+    arg = normalize(e.arg)  # every other node is a Function
     if isinstance(e, Exp):
-        arg = normalize(e.arg)
-        if isinstance(arg, Constant) and arg.value == 0:
+        if arg == ZERO:
             return ONE
-        if isinstance(arg, Ln):
-            return arg.arg
-        return Exp(arg)
-
+        return arg.arg if isinstance(arg, Ln) else Exp(arg)
     if isinstance(e, Ln):
-        arg = normalize(e.arg)
-        if isinstance(arg, Constant) and arg.value == 1:
+        if arg == ONE:
             return ZERO
-        if isinstance(arg, Exp):
-            return arg.arg
-        return Ln(arg)
-
+        return arg.arg if isinstance(arg, Exp) else Ln(arg)
     if isinstance(e, Sin):
-        arg = normalize(e.arg)
-        if isinstance(arg, Constant) and arg.value == 0:
+        if arg == ZERO:
             return ZERO
         sign, stripped = _strip_sign(arg)
-        if sign < 0:
-            return normalize(Product((MINUS_ONE, Sin(stripped))))
-        return Sin(arg)
-
-    if isinstance(e, Cos):
-        arg = normalize(e.arg)
-        if isinstance(arg, Constant) and arg.value == 0:
-            return ONE
-        sign, stripped = _strip_sign(arg)
-        if sign < 0:
-            return Cos(stripped)
-        return Cos(arg)
-
+        return normalize(Product((MINUS_ONE, Sin(stripped)))) if sign < 0 else Sin(arg)
+    if isinstance(e, Cos):  # even: a leading minus sign of the argument drops
+        return ONE if arg == ZERO else Cos(_strip_sign(arg)[1])
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -674,17 +704,7 @@ def is_structurally_zero(e: Expr) -> bool:
 
 def is_rational(e: Expr) -> bool:
     """True when the expression contains no transcendental node."""
-    if isinstance(e, (Constant, Coordinate)):
-        return True
-    if isinstance(e, Sum):
-        return all(is_rational(t) for t in e.terms)
-    if isinstance(e, Product):
-        return all(is_rational(f) for f in e.factors)
-    if isinstance(e, Quotient):
-        return is_rational(e.numerator) and is_rational(e.denominator)
-    if isinstance(e, IntegerPower):
-        return is_rational(e.base)
-    return False
+    return not isinstance(e, Function) and all(map(is_rational, _children(e)))
 
 
 def is_nonvanishing(e: Expr) -> bool:
@@ -700,13 +720,9 @@ def is_nonvanishing(e: Expr) -> bool:
 
 def _defined_everywhere(e: Expr) -> bool:
     """No quotient, negative power or ln anywhere in ``e``."""
-    if isinstance(e, (Sum, Product)):
-        return all(map(_defined_everywhere, e.terms if isinstance(e, Sum) else e.factors))
-    if isinstance(e, IntegerPower):
-        return e.exponent >= 0 and _defined_everywhere(e.base)
-    if isinstance(e, (Exp, Sin, Cos)):
-        return _defined_everywhere(e.arg)
-    return isinstance(e, (Constant, Coordinate))
+    if isinstance(e, (Quotient, Ln)) or isinstance(e, IntegerPower) and e.exponent < 0:
+        return False
+    return all(map(_defined_everywhere, _children(e)))
 
 
 # --------------------------------------------------------------------------
@@ -885,14 +901,8 @@ def render(e: Expr) -> str:
         return f"{_wrap(e.numerator, 2)}/{_wrap(e.denominator, 3)}"
     if isinstance(e, IntegerPower):
         return f"{_wrap(e.base, 4)}^{e.exponent}"
-    if isinstance(e, Exp):
-        return f"exp({render(e.arg)})"
-    if isinstance(e, Ln):
-        return f"ln({render(e.arg)})"
-    if isinstance(e, Sin):
-        return f"sin({render(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({render(e.arg)})"
+    if isinstance(e, Function):
+        return f"{e.name}({render(e.arg)})"
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -971,14 +981,11 @@ def _multiplies_back(f: Expr) -> bool:
     """Whether multiplying the monomial factor ``f`` out again gives ``f`` back.
 
     Not so for a sum or a product that an exp merge left as a factor
-    (exp(ln(u)) is u), nor for a power of a quotient, a product or a sum,
-    which normalize would rewrite.  The product rule multiplies the other
-    factors out again, so the exponent shift keeps to monomials without them.
+    (exp(ln(u)) is u): a product flattens into the others and a sum is
+    multiplied out.  Every power is its own normal form (``_power`` marks
+    it).  The product rule multiplies the other factors out again, so the
+    exponent shift keeps to monomials without such factors.
     """
-    if isinstance(f, IntegerPower):
-        return not isinstance(f.base, (Product, Quotient, Exp)) and not (
-            isinstance(f.base, Sum) and f.exponent > 0
-        )
     return not isinstance(f, (Sum, Product))
 
 
@@ -1045,27 +1052,14 @@ def _subst(e: Expr, a: Mapping[str, Expr]) -> Expr:
         return Quotient(_subst(e.numerator, a), _subst(e.denominator, a))
     if isinstance(e, IntegerPower):
         return IntegerPower(_subst(e.base, a), e.exponent)
-    if isinstance(e, Exp):
-        return Exp(_subst(e.arg, a))
-    if isinstance(e, Ln):
-        return Ln(_subst(e.arg, a))
-    if isinstance(e, Sin):
-        return Sin(_subst(e.arg, a))
-    if isinstance(e, Cos):
-        return Cos(_subst(e.arg, a))
+    if isinstance(e, Function):
+        return type(e)(_subst(e.arg, a))
     raise TypeError(f"unknown node {e!r}")
 
 
 # --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise EvaluationError("exp overflows a float") from None
 
 
 def _pow(base: Number, n: int) -> Number:
@@ -1116,17 +1110,8 @@ def evaluate(e: Expr, point: Mapping[str, Number]) -> Number:
         if isinstance(base, int) and e.exponent < 0:
             base = Fraction(base)
         return _pow(base, e.exponent)
-    if isinstance(e, Exp):
-        return _exp(float(evaluate(e.arg, point)))
-    if isinstance(e, Ln):
-        v = evaluate(e.arg, point)
-        if v <= 0:
-            raise EvaluationError("ln of a non-positive argument")
-        return math.log(float(v))
-    if isinstance(e, Sin):
-        return math.sin(float(evaluate(e.arg, point)))
-    if isinstance(e, Cos):
-        return math.cos(float(evaluate(e.arg, point)))
+    if isinstance(e, Function):
+        return e.function(float(evaluate(e.arg, point)))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -1175,27 +1160,20 @@ def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, flo
         except OverflowError:
             s = math.inf  # a scale too large for a float: the sample is not finite
         return v, max(abs(v), s)
-    if isinstance(e, Exp):
+    if isinstance(e, Function):
         av, asc = evaluate_with_scale(e.arg, point)
-        v = _exp(av)
-        return v, v * (1.0 + asc)
-    if isinstance(e, Ln):
-        av, asc = evaluate_with_scale(e.arg, point)
-        if av <= 0.0:
-            raise EvaluationError("ln of a non-positive argument")
-        return math.log(av), max(1.0, asc)
-    if isinstance(e, Sin):
-        av, asc = evaluate_with_scale(e.arg, point)
-        return math.sin(av), max(1.0, asc)
-    if isinstance(e, Cos):
-        av, asc = evaluate_with_scale(e.arg, point)
-        return math.cos(av), max(1.0, asc)
+        v = e.function(av)
+        return v, e.scale(v, asc)
     raise TypeError(f"unknown node {e!r}")
 
 
 # --------------------------------------------------------------------------
 # sampling policy and zero checks
 # --------------------------------------------------------------------------
+
+
+# draws per accepted sample before a check gives up on singular points
+RESAMPLE_FACTOR = 10
 
 
 def _mix_seed(seed: int, label: str) -> int:
@@ -1209,8 +1187,7 @@ class SamplingPolicy:
     seed feeds every substream (labelled, so checks are independent of each
     other's sample consumption); count points per check; box is the sampling
     interval used for every coordinate; tolerances define the sampled-zero
-    test |v| <= tol_abs + tol_rel * scale; resample_factor caps retries when
-    sampled points turn out singular.
+    test |v| <= tol_abs + tol_rel * scale.
     """
 
     seed: int = 0
@@ -1218,7 +1195,6 @@ class SamplingPolicy:
     box: tuple[float, float] = (-2.0, 2.0)
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
-    resample_factor: int = 10
 
     def rng(self, label: str) -> random.Random:
         return random.Random(_mix_seed(self.seed, label))
@@ -1272,7 +1248,7 @@ def check_zero_all(
     at a shared set of sampled points (exact rational points when every
     expression is rational).  Singular points, where evaluation fails or a
     float value or scale is not finite, are discarded and resampled up to
-    resample_factor * count attempts.
+    RESAMPLE_FACTOR * count attempts.
     """
     remaining = [n for n in (normalize(e) for e in exprs) if not (isinstance(n, Constant) and n.value == 0)]
     if not remaining:
@@ -1283,15 +1259,12 @@ def check_zero_all(
             return ZeroReport(ZeroVerdict.NONZERO, "symbolic", abs(fv), {}, fv, 0)
 
     if coords is None:
-        names: set[str] = set()
-        for n in remaining:
-            names |= free_coordinates(n)
-        coords = sorted(names)
+        coords = sorted(frozenset().union(*map(free_coordinates, remaining)))
 
     rational = all(is_rational(n) for n in remaining)
     rng = policy.rng(label)
     lo, hi = policy.box
-    max_attempts = policy.resample_factor * policy.count
+    max_attempts = RESAMPLE_FACTOR * policy.count
     accepted = 0
     attempts = 0
     max_abs = 0.0

@@ -28,7 +28,13 @@ from diracjacobi.chart_tensor import (
 from diracjacobi.courant import SectionE1, SectionTM, extended_courant_bracket
 from diracjacobi.symcalc import (
     ZERO,
+    Exp,
     ExprSyntaxError,
+    Function,
+    IntegerPower,
+    Product,
+    Quotient,
+    Sum,
     as_expr,
     differentiate,
     evaluate,
@@ -584,3 +590,35 @@ class ReferenceTokenizer:
         kind, value, pos = self.peek()
         self.pos = pos + len(value) if kind != "end" else pos
         return (kind, value, pos)
+
+
+# --------------------------------------------------------------------------
+# normal-form checker: no value with a second normal form
+# --------------------------------------------------------------------------
+
+
+def second_forms(e) -> list:
+    """The subterms of a normalized ``e`` that another normal form would also
+    denote: a quotient over a one-term denominator (it is a negative power),
+    a power of a quotient, product, sum or exp (each is rewritten), and a
+    product with two quotient factors (they are one quotient)."""
+    found, stack = [], [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Quotient):
+            if not isinstance(n.denominator, Sum):
+                found.append(n)
+            stack += (n.numerator, n.denominator)
+        elif isinstance(n, IntegerPower):
+            if isinstance(n.base, (Quotient, Product, Sum, Exp)):
+                found.append(n)
+            stack.append(n.base)
+        elif isinstance(n, Product):
+            if sum(isinstance(f, Quotient) for f in n.factors) > 1:
+                found.append(n)
+            stack += n.factors
+        elif isinstance(n, Sum):
+            stack += n.terms
+        elif isinstance(n, Function):
+            stack.append(n.arg)
+    return found

@@ -179,6 +179,8 @@ ONE_CHECK = "checks: [{check: involutivity, structure: L0}]\n"
          "expr: number literal of 5000 characters is too long"),
         ('checks: [{check: expr-zero, chart: M, expr: "2^99999999 - x"}]\n',
          f"more than {sys.get_int_max_str_digits()} digits"),
+        ('checks: [{check: expr-zero, chart: M, expr: "' + "9" * 3000 + "*" + "9" * 3000
+         + ' - x"}]\n', f"folded constant has more than {sys.get_int_max_str_digits()} digits"),
     ],
     ids=["box-not-numbers", "tol-not-a-number", "box-empty", "cochain-index-not-integers",
          "cochain-index-three-slots", "cochain-index-out-of-range", "cocycle-values-not-a-list",
@@ -186,7 +188,8 @@ ONE_CHECK = "checks: [{check: involutivity, structure: L0}]\n"
          "coeffs-misspelt", "expression-key-misspelt", "field-key-misspelt",
          "precontact-key-misspelt", "top-level-key-misspelt", "top-level-section-misspelt",
          "pair-coordinate-not-read-off", "cochain-pair-in-both-orientations",
-         "literal-past-the-int-conversion-limit", "constant-power-past-the-int-conversion-limit"],
+         "literal-past-the-int-conversion-limit", "constant-power-past-the-int-conversion-limit",
+         "constant-product-past-the-int-conversion-limit"],
 )
 def test_malformed_values_exit_2_at_load(tmp_path, capsys, extra, problem):
     p = tmp_path / "malformed.scn"

@@ -48,7 +48,9 @@ from diracjacobi.symcalc import (
     IntegerPower,
     Ln,
     Product,
+    Quotient,
     SamplingPolicy,
+    Sum,
     is_nonvanishing,
     is_structurally_zero,
     normalize,
@@ -56,6 +58,7 @@ from diracjacobi.symcalc import (
 )
 
 from conftest import RandomTensors
+from oracles import second_forms
 
 
 def P(chart, text):
@@ -147,6 +150,10 @@ class TestChecks:
         r = check_involutivity(L, policy)
         assert r.verdict is CheckVerdict.FAIL
         assert r.witness is not None and r.residual_max > 1e-3
+        # the leftover row is a nonzero constant: the failure holds wherever the
+        # uncertified pivot y is nonzero, so it stays symbolic
+        assert r.mode == "symbolic"
+        assert "rank sampled: pivot y is not certified nonvanishing" in r.details
 
 
 class TestJacobiPairs:
@@ -534,11 +541,13 @@ class TestRankCertificate:
         r = check_maximal_isotropy(L, policy)
         assert r.verdict is CheckVerdict.PASS and r.mode == "sampled"
         assert any("pivot y " in d for d in r.details)
-
+        r = check_involutivity(L, policy)
+        assert r.verdict is CheckVerdict.PASS and r.mode == "sampled"
+        assert r.details == ("rank sampled: pivot y is not certified nonvanishing",)
 
     def test_a_disguised_zero_is_no_pivot(self, r2):
-        # FOUND-24's power of a quotient: zero, but not structurally zero
-        hidden = P(r2, "(x/(1+y))*(x/(1+y)) - (x/(1+y))^2")
+        # a sum times its reciprocal: zero, but not structurally zero
+        hidden = P(r2, "(1+y)*(1/(1+y)) - 1")
         assert not is_structurally_zero(hidden)
         gens = (SectionTM(VectorField(r2, (hidden, P(r2, "x"))), DifferentialForm.zero(r2, 1)),
                 SectionTM(VectorField.zero(r2), coordinate_form(r2, "x")))
@@ -557,6 +566,40 @@ def shipped_isotropy_checks():
         names = [c.name for c in scenario.checks if c.kind == "maximal-isotropy"]
         if names:
             yield scenario, names
+
+
+def shipped_frame_entries():
+    """Every generator row, pairing and bracket expansion of every shipped structure."""
+    fixtures = Path(structures.__file__).parent / "fixtures"
+    for path in sorted(fixtures.glob("*.scn")):
+        for name, L in load_scenario(path).structures.items():
+            k = len(L.generators)
+            for i in range(k):
+                yield (path.stem, name, i), L.generators[i].rows()
+                for j in range(k):
+                    expansion = L.bracket_expansion(i, j)
+                    yield (path.stem, name, i, j), [
+                        L.pairing(i, j), *L.bracket(i, j).rows(),
+                        *expansion.coefficients, *expansion.leftover]
+
+
+def test_shipped_frames_have_one_normal_form():
+    count = 0
+    for where, entries in shipped_frame_entries():
+        for e in entries:
+            assert second_forms(e) == [], (where, str(e))
+            count += 1
+    assert count > 1000
+
+
+def test_the_form_checker_finds_second_forms(r2):
+    x, y = P(r2, "x"), P(r2, "y")
+    q = Quotient(x, P(r2, "1 + y"))
+    assert second_forms(Quotient(ONE, y)) == [Quotient(ONE, y)]
+    for base in (q, Product((x, y)), P(r2, "1 + y"), Exp(x)):
+        assert second_forms(Sum((x, IntegerPower(base, 2)))) == [IntegerPower(base, 2)]
+    assert second_forms(Product((q, q))) == [Product((q, q))]
+    assert second_forms(P(r2, "(x/(1 + y))^2*y^-1 + exp(x)/(x + y)")) == []
 
 
 def test_certified_ranks_take_no_float_rank(monkeypatch, policy):

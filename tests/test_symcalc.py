@@ -91,7 +91,11 @@ class TestParse:
         with pytest.raises(ExprSyntaxError, match="too long"):
             parse(text, XY)
 
-    @pytest.mark.parametrize("text", ["2^99999999 - x", "(1/3)^-99999999", "(-7)^6000 + y"])
+    @pytest.mark.parametrize("text", [
+        "2^99999999 - x", "(1/3)^-99999999", "(-7)^6000 + y",
+        pytest.param("9" * 3000 + "*" + "9" * 3000 + " - x", id="folded-product"),
+        pytest.param("1/" + "7" * 2200 + "/" + "3" * 2200 + " + y", id="folded-quotient"),
+    ])
     def test_constant_power_past_the_int_conversion_limit(self, text):
         with pytest.raises(ExprError, match=f"more than {sys.get_int_max_str_digits()} digits"):
             parse(text, XY)
@@ -411,7 +415,7 @@ def test_an_exp_merge_that_leaves_no_exp(text, want):
 
 def test_exp_factors_of_a_denominator_move_to_the_numerator():
     assert parse("exp(x)/exp(1/2*x)", XY) == parse("exp(1/2*x)", XY)
-    assert render(parse("1/(2*exp(x)*y)", XY)) == "1/2*exp(-x)/y"
+    assert render(parse("1/(2*exp(x)*y)", XY)) == "1/2*y^-1*exp(-x)"
     assert parse("(x + y)/exp(x)", XY) == parse("x*exp(-x) + y*exp(-x)", XY)
 
 
@@ -420,6 +424,85 @@ def test_a_quotient_of_proportional_terms_is_its_constant():
     assert parse("(2 + 2*y)/(1 + y)", XY) == parse("2", XY)
     assert parse("(-3*x*exp(y))/(6*x*exp(y))", XY) == parse("-1/2", XY)
     assert render(parse("(x + 2*y)/(x + y)", XY)) == "(x + 2*y)/(x + y)"
+
+
+# -- one normal form per value: reciprocals and powers of quotients -------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "y*(1/y) - 1",
+        "x^-1 - 1/x",
+        "(1+x)^-1 - 1/(1+x)",
+        "(x/(1+y))*(x/(1+y)) - (x/(1+y))^2",
+        "(x/(1+y))*(x/(1+y))*(x/(1+y)) - (x/(1+y))^3",
+        "(x/(1+y))^2*(x/(1+y))*(x/(1+y)) - (x/(1+y))^4",
+        "(x/(1+y))*(1/(1+x)) - x/((1+y)*(1+x))",
+        "(x/(1+y))^-1 - (1+y)/x",
+        "exp(x)*(1/(2*exp(x)*y)) - 1/(2*y)",
+    ],
+)
+def test_one_value_has_one_normal_form(text):
+    assert parse(text, XY) == ZERO
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("1/x", "x^-1"),
+        ("x/(2*y^2)", "1/2*x*y^-2"),
+        ("1/(1 + x)^2", "1/(1 + x^2 + 2*x)"),
+        ("(x/(1 + y))^2", "x^2/(1 + y^2 + 2*y)"),
+        ("(x/(1 + y))^-1", "x^-1 + y*x^-1"),
+    ],
+)
+def test_only_a_sum_stays_under_a_quotient(text, want):
+    assert render(parse(text, XY)) == want
+
+
+def monomials():
+    """c * a1^k1 * ... over coordinates and elementary functions of them."""
+    atoms = st.one_of(
+        st.sampled_from([Coordinate(c) for c in XYT]),
+        st.tuples(st.sampled_from((Exp, Ln, Sin, Cos)), exprs(max_leaves=3)).map(
+            lambda fa: fa[0](fa[1])
+        ),
+    )
+    powers = st.tuples(atoms, st.integers(-3, 3)).map(lambda ak: IntegerPower(*ak))
+    coeffs = st.fractions(-9, 9, max_denominator=5).filter(bool).map(Constant)
+    return st.tuples(coeffs, st.lists(powers, min_size=1, max_size=4)).map(
+        lambda cp: Product((cp[0], *cp[1]))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomials())
+def test_a_reciprocal_is_the_negative_power(m):
+    assume(normalize(m) != ZERO)  # ln(1) is a zero factor: 1/0 stays a singular quotient
+    assert normalize(Quotient(Constant(Fraction(1)), m)) == normalize(IntegerPower(m, -1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    exprs(functions=(Exp,), exponents=NEGATIVE_POWERS, max_leaves=4),
+    exprs(functions=(Exp,), exponents=NEGATIVE_POWERS, max_leaves=4),
+    st.integers(2, 4),
+)
+def test_a_repeated_quotient_is_its_power(num, den, n):
+    q = Quotient(num, den)
+    power = normalize(IntegerPower(q, n))
+    assert normalize(Product((q,) * n)) == power
+    # as the parser builds q*q*q: the inner product normalized first
+    assert normalize(Product((normalize(Product((q,) * (n - 1))), q))) == power
+
+
+def test_a_singular_quotient_stays_singular_under_a_negative_power():
+    for text in ("x/(1/(y-y))", "(1/(y-y))^-1"):
+        e = parse(text, XY)
+        assert e != ZERO
+        with pytest.raises(EvaluationError):
+            evaluate(e, {"x": Fraction(1), "y": Fraction(2)})
 
 
 @pytest.mark.parametrize(
