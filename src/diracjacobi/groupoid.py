@@ -594,7 +594,7 @@ def check_contact_form(
     for p in policy.float_points(chart.coords, f"{name}:points"):
         v = float(evaluate(top, p))
         f.residual(v)
-        if abs(v) <= policy.tol_abs:
+        if abs(v) <= policy.tol:
             f.fail(witness={"point": p, "value": v})
             break
     return f.result(mode="sampled")

@@ -6,10 +6,14 @@ list of checks.  Expressions use the symcalc grammar.  Every named object
 must be declared before it is referenced; validation collects all problems
 rather than stopping at the first.
 
-Structure, groupoid and check kinds live in one registry per family
-(``STRUCTURES``, ``GROUPOIDS``, ``CHECKS``).  Each entry declares its
-arguments once; the loader resolves every argument to the object it names
-or parses, so a runner receives objects and nothing is looked up twice.
+Every object section is a row of ``SECTIONS``: its key, the label its
+problems carry, and its kinds, in build order.  A section's kinds are one
+``Kind``, or a family (``GROUPOIDS``, ``STRUCTURES``) whose member each entry
+names by its ``kind:`` key; checks have their own family, ``CHECKS``.  A kind
+declares its arguments once; the loader resolves every argument to the object
+it names or parses and calls ``kind.fn(policy, **args)``, so a runner receives
+objects and nothing is looked up twice.  Charts (a list of coordinates per
+entry) and checks (a list) have builders of their own.
 
 Checks may carry ``expect: pass|fail|error`` (default pass); a run is
 successful when every verdict matches its expectation, which lets negative
@@ -362,26 +366,27 @@ class Kind:
 _ON_STRUCTURE = _chart_of("structure")
 
 
-def _frame(chart, ambient, generators, rank):
+def _frame(policy, chart, ambient, generators, rank):
     ambient = Ambient.TM_TSTAR if ambient == "tm" else Ambient.E1
     return FrameSubbundle(ambient, chart, generators, len(generators) if rank is None else rank)
 
 
-# fn(**args) -> FrameSubbundle
+# fn(policy, **args) -> FrameSubbundle
 STRUCTURES: dict[str, Kind] = {
-    "theta": Kind(lambda form: construct_L_theta(form), Ref("form", "forms")),
+    "theta": Kind(lambda policy, form: construct_L_theta(form), Ref("form", "forms")),
     "jacobi": Kind(
-        lambda bivector, field: construct_L_jacobi(
+        lambda policy, bivector, field: construct_L_jacobi(
             bivector, VectorField.zero(bivector.chart) if field is None else field),
         Ref("bivector", "multivectors"), Ref("field", "fields", False)),
-    "lift": Kind(lambda of: lift_dirac(of), Ref("of", "structures")),
-    "two-form-graph": Kind(lambda form: graph_of_two_form(form), Ref("form", "forms")),
-    "bivector-graph": Kind(lambda bivector: graph_of_bivector(bivector), Ref("bivector", "multivectors")),
-    "two-form-pair": Kind(lambda form, mu: construct_two_form_pair(form, mu),
+    "lift": Kind(lambda policy, of: lift_dirac(of), Ref("of", "structures")),
+    "two-form-graph": Kind(lambda policy, form: graph_of_two_form(form), Ref("form", "forms")),
+    "bivector-graph": Kind(lambda policy, bivector: graph_of_bivector(bivector),
+                           Ref("bivector", "multivectors")),
+    "two-form-pair": Kind(lambda policy, form, mu: construct_two_form_pair(form, mu),
                           Ref("form", "forms"), Ref("mu", "forms")),
-    "conformal": Kind(lambda of, factor: conformal_change(of, ConformalFactor(factor, of.chart)),
+    "conformal": Kind(lambda policy, of, factor: conformal_change(of, ConformalFactor(factor, of.chart)),
                       Ref("of", "structures"), Expression("factor", _chart_of("of"), REQUIRED)),
-    "induced": Kind(lambda of, time: induced_dirac_on_MxR(of, time=time),
+    "induced": Kind(lambda policy, of, time: induced_dirac_on_MxR(of, time=time),
                     Ref("of", "structures"), Value("time", str, "t")),
     "frame": Kind(_frame, Ref("chart", "charts"), Value("ambient", str, "e1", choices=("tm", "e1")),
                   Generators("generators"), Value("rank", int, None)),
@@ -583,40 +588,90 @@ CHECKS: dict[str, Kind] = {
 # loading
 # --------------------------------------------------------------------------
 
-# the keys a scenario document may have: its name, the policy fields and the sections
-TOP_LEVEL_KEYS = (
-    "name", "seed", "samples", "tol", "box", "charts", "expressions", "fields", "forms",
-    "multivectors", "maps", "structures", "groupoids", "precontact", "checks",
+
+def _precontact(policy, groupoid, theta, time, eta, sigma):
+    """A 1-form theta on the base, or eta on the groupoid's total chart with sigma."""
+    if theta is not None:
+        return groupoid, eta_from_precontact_form(groupoid, theta, time)
+    if eta is None:
+        raise ChartError("missing required argument 'eta'")
+    if eta.chart != groupoid.total:
+        raise ChartError("eta must live on the groupoid total chart")
+    return groupoid, PrecontactData(eta, sigma)
+
+
+# (key, label, kinds) of each object section, in build order.  ``kinds`` is the
+# one Kind of a section without a ``kind:`` key, or the family its entries name
+# their kind from.  Groupoids come first so that their derived charts
+# (<name>.total, <name>.base, <name>.pairs) are referencable everywhere.
+SECTIONS: tuple[tuple[str, str, Kind | dict[str, Kind]], ...] = (
+    ("groupoids", "groupoid", GROUPOIDS),
+    ("expressions", "expression", Kind(lambda policy, chart, expr: (chart, expr),
+                                       Ref("chart", "charts"), Expression("expr", _on_chart, REQUIRED))),
+    ("fields", "field", Kind(lambda policy, chart, components: components,
+                             Ref("chart", "charts"), Components("components"))),
+    ("forms", "form", Kind(lambda policy, chart, degree, coeffs: coeffs, Ref("chart", "charts"),
+                           Degree("degree", 1), Coefficients("coeffs", DifferentialForm))),
+    ("multivectors", "multivector", Kind(lambda policy, chart, degree, coeffs: coeffs,
+                                         Ref("chart", "charts"), Degree("degree", 2),
+                                         Coefficients("coeffs", Multivector))),
+    ("maps", "map", Kind(lambda policy, source, target, components: components, Ref("source", "charts"),
+                         Ref("target", "charts"), MapComponents("components", "source", "target"))),
+    ("structures", "structure", STRUCTURES),
+    ("precontact", "precontact", Kind(
+        _precontact, Ref("groupoid", "groupoids"), Ref("theta", "forms", False), Value("time", str, "t"),
+        Ref("eta", "forms", False), Expression("sigma", lambda got: got["groupoid"].total.coords))),
 )
 
-# the declared arguments of each entry of the sections that are not kind families
-_SECTION_ARGS = {
-    "expressions": (Ref("chart", "charts"), Expression("expr", _on_chart, REQUIRED)),
-    "fields": (Ref("chart", "charts"), Components("components")),
-    "forms": (Ref("chart", "charts"), Degree("degree", 1), Coefficients("coeffs", DifferentialForm)),
-    "multivectors": (Ref("chart", "charts"), Degree("degree", 2), Coefficients("coeffs", Multivector)),
-    "maps": (Ref("source", "charts"), Ref("target", "charts"),
-             MapComponents("components", "source", "target")),
-    # precontact data is a 1-form theta on the base, or eta on the total chart with sigma
-    "precontact": (Ref("groupoid", "groupoids"), Ref("theta", "forms", False), Value("time", str, "t"),
-                   Ref("eta", "forms", False),
-                   Expression("sigma", lambda got: got["groupoid"].total.coords)),
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# policy key -> (SamplingPolicy field, test of a value, its conversion, the problem with a bad one)
+_POLICY_KEYS = {
+    "seed": ("seed", _integer, int, "seed must be an integer"),
+    "samples": ("count", lambda v: _integer(v) and v >= 1, int, "samples must be a positive integer"),
+    "tol": ("tol", lambda v: _real(v) and v >= 0, float, "tol must be a non-negative number"),
+    "box": ("box", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_real, v)) and v[0] < v[1],
+            lambda v: (float(v[0]), float(v[1])), "box must be [lo, hi], two numbers with lo < hi"),
 }
+
+# the keys a scenario document may have: its name, the policy keys, the sections and the checks
+TOP_LEVEL_KEYS = ("name", *_POLICY_KEYS, "charts", *(key for key, _, _ in SECTIONS), "checks")
+
+
+def _policy(policy: SamplingPolicy, given: Mapping) -> tuple[SamplingPolicy, list[str]]:
+    """``policy`` with the policy keys of ``given`` in place, and a problem for
+    each bad value, whose field keeps its value from ``policy``.
+
+    One rule for the values of a scenario file and for run_scenario's overrides.
+    """
+    changes, problems = {}, []
+    for key, (field, good, convert, problem) in _POLICY_KEYS.items():
+        if key not in given:
+            continue
+        if good(given[key]):
+            changes[field] = convert(given[key])
+        else:
+            problems.append(problem)
+    return replace(policy, **changes), problems
+
+
+# libyaml's loader when PyYAML has it; both build the same documents
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class _Builder:
     def __init__(self, doc: Mapping):
         self.doc = doc
         self.problems: list[str] = []
-        self.charts: dict[str, Chart] = {}
-        self.expressions: dict[str, tuple[Chart, Expr]] = {}
-        self.fields: dict[str, VectorField] = {}
-        self.forms: dict[str, DifferentialForm] = {}
-        self.multivectors: dict[str, Multivector] = {}
-        self.maps: dict[str, SmoothMap] = {}
-        self.structures: dict[str, FrameSubbundle] = {}
-        self.groupoids: dict[str, GroupoidModel] = {}
-        self.precontact: dict[str, tuple[GroupoidModel, PrecontactData]] = {}
+        # the declared objects of each section, by name
+        self.tables: dict[str, dict] = {"charts": {}} | {key: {} for key, _, _ in SECTIONS}
         self.checks: list[CheckSpec] = []
 
     def fail(self, msg: str) -> None:
@@ -629,20 +684,11 @@ class _Builder:
             return {}
         return dict(raw)
 
-    def mappings(self, key: str, label: str):
-        """(name, spec, where) for each entry of section ``key`` that is a mapping."""
-        for name, spec in self.section(key).items():
-            where = f"{label} '{name}'"
-            if isinstance(spec, Mapping):
-                yield name, spec, where
-            else:
-                self.fail(f"{where}: must be a mapping")
-
     # -- resolution helpers ------------------------------------------------
 
     def lookup(self, section: str, name, where: str):
         """The object ``name`` declared in ``section``, or None with a problem recorded."""
-        table = getattr(self, section)
+        table = self.tables[section]
         if not isinstance(name, str) or name not in table:
             label = "precontact data" if section == "precontact" else section.rstrip("s")
             self.fail(f"{where}: unknown {label} '{name}'")
@@ -728,70 +774,35 @@ class _Builder:
                 self.fail(f"chart '{name}': coordinates must be a list of names")
                 continue
             try:
-                self.charts[name] = Chart(name, tuple(coords))
+                self.tables["charts"][name] = Chart(name, tuple(coords))
             except ChartError as exc:
                 self.fail(f"chart '{name}': {exc}")
 
-    def declared(self, key: str, label: str):
-        """(name, resolved arguments, where) for each entry of section ``key``."""
-        for name, spec, where in self.mappings(key, label):
-            args = self.resolve(_SECTION_ARGS[key], spec, where, ())
-            if args is not None:
-                yield name, args, where
-
-    def build_sections(self) -> None:
-        for name, args, _ in self.declared("expressions", "expression"):
-            self.expressions[name] = (args["chart"], args["expr"])
-        for name, args, _ in self.declared("fields", "field"):
-            self.fields[name] = args["components"]
-        for name, args, _ in self.declared("forms", "form"):
-            self.forms[name] = args["coeffs"]
-        for name, args, _ in self.declared("multivectors", "multivector"):
-            self.multivectors[name] = args["coeffs"]
-        for name, args, _ in self.declared("maps", "map"):
-            self.maps[name] = args["components"]
-
-    def build_kinds(self, key: str, label: str, registry: dict, *leading):
-        """(name, object) for each entry of section ``key``, built by its kind."""
-        for name, spec, where in self.mappings(key, label):
-            kind = registry.get(spec.get("kind"))
-            if kind is None:
-                self.fail(f"{where}: unknown {label} kind '{spec.get('kind')}'")
+    def build(self, key: str, label: str, kinds: Kind | dict[str, Kind], policy: SamplingPolicy) -> None:
+        """Build each entry of section ``key`` by its kind into ``tables[key]``."""
+        for name, spec in self.section(key).items():
+            where = f"{label} '{name}'"
+            if not isinstance(spec, Mapping):
+                self.fail(f"{where}: must be a mapping")
                 continue
-            args = self.resolve(kind.args, spec, where, ("kind",))
+            kind, fixed = kinds, ()
+            if isinstance(kinds, dict):
+                kind, fixed = kinds.get(spec.get("kind")), ("kind",)
+                if kind is None:
+                    self.fail(f"{where}: unknown {label} kind '{spec.get('kind')}'")
+                    continue
+            args = self.resolve(kind.args, spec, where, fixed)
             if args is None:
                 continue
             try:
-                built = kind.fn(*leading, **args)
+                built = kind.fn(policy, **args)
             except (ChartError, GroupoidModelError) as exc:
                 self.fail(f"{where}: {exc}")
                 continue
-            yield name, built
-
-    def build_groupoids(self, policy: SamplingPolicy) -> None:
-        for name, gm in self.build_kinds("groupoids", "groupoid", GROUPOIDS, policy):
-            self.groupoids[name] = gm
-            for label, chart in (("total", gm.total), ("base", gm.base), ("pairs", gm.pair_chart)):
-                self.charts.setdefault(f"{name}.{label}", chart)
-
-    def build_structures(self) -> None:
-        for name, L in self.build_kinds("structures", "structure", STRUCTURES):
-            self.structures[name] = L
-
-    def build_precontact(self) -> None:
-        for name, args, where in self.declared("precontact", "precontact"):
-            gm, theta, eta = args["groupoid"], args["theta"], args["eta"]
-            if theta is not None:
-                try:
-                    self.precontact[name] = gm, eta_from_precontact_form(gm, theta, args["time"])
-                except ChartError as exc:
-                    self.fail(f"{where}: {exc}")
-            elif eta is None:
-                self.fail(f"{where}: missing required argument 'eta'")
-            elif eta.chart != gm.total:
-                self.fail(f"{where}: eta must live on the groupoid total chart")
-            else:
-                self.precontact[name] = gm, PrecontactData(eta, args["sigma"])
+            self.tables[key][name] = built
+            if isinstance(built, GroupoidModel):
+                for part, chart in (("total", built.total), ("base", built.base), ("pairs", built.pair_chart)):
+                    self.tables["charts"].setdefault(f"{name}.{part}", chart)
 
     def build_checks(self) -> None:
         raw = self.doc.get("checks")
@@ -821,31 +832,6 @@ class _Builder:
             if args is not None:
                 self.checks.append(CheckSpec(kind, name, expect, args))
 
-    def policy(self) -> SamplingPolicy:
-        def real(v) -> bool:
-            return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-        seed = self.doc.get("seed", 0)
-        samples = self.doc.get("samples", 50)
-        tol = self.doc.get("tol", 1e-9)
-        box = self.doc.get("box", [-2.0, 2.0])
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            self.fail("seed must be an integer")
-            seed = 0
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-            self.fail("samples must be a positive integer")
-            samples = 50
-        if not real(tol) or tol < 0:
-            self.fail("tol must be a non-negative number")
-            tol = 1e-9
-        if not (isinstance(box, list) and len(box) == 2 and all(map(real, box)) and box[0] < box[1]):
-            self.fail("box must be [lo, hi], two numbers with lo < hi")
-            box = [-2.0, 2.0]
-        return SamplingPolicy(
-            seed=seed, count=samples, box=(float(box[0]), float(box[1])),
-            tol_abs=float(tol), tol_rel=float(tol),
-        )
-
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; raises ScenarioError on problems."""
@@ -853,7 +839,7 @@ def load_scenario(path: str | Path) -> Scenario:
     data = path.read_bytes()
     digest = "sha256:" + hashlib.sha256(data).hexdigest()
     try:
-        doc = yaml.safe_load(data)
+        doc = yaml.load(data, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError([f"not valid YAML: {exc}"]) from exc
     if not isinstance(doc, Mapping):
@@ -863,34 +849,16 @@ def load_scenario(path: str | Path) -> Scenario:
     for key in doc:
         if key not in TOP_LEVEL_KEYS:
             builder.fail(f"unknown top-level key '{key}'")
-    policy = builder.policy()
-    # groupoids come right after charts so that their derived charts
-    # (<name>.total, <name>.base, <name>.pairs) are referencable everywhere
+    policy, problems = _policy(SamplingPolicy(), doc)
+    builder.problems += problems
     builder.build_charts()
-    builder.build_groupoids(policy)
-    builder.build_sections()
-    builder.build_structures()
-    builder.build_precontact()
+    for key, label, kinds in SECTIONS:
+        builder.build(key, label, kinds, policy)
     builder.build_checks()
     if builder.problems:
         raise ScenarioError(builder.problems)
-
-    return Scenario(
-        name=str(doc.get("name", path.stem)),
-        policy=policy,
-        charts=builder.charts,
-        expressions=builder.expressions,
-        fields=builder.fields,
-        forms=builder.forms,
-        multivectors=builder.multivectors,
-        maps=builder.maps,
-        structures=builder.structures,
-        groupoids=builder.groupoids,
-        precontact=builder.precontact,
-        checks=builder.checks,
-        digest=digest,
-        source_name=path.name,
-    )
+    return Scenario(name=str(doc.get("name", path.stem)), policy=policy, checks=builder.checks,
+                    digest=digest, source_name=path.name, **builder.tables)
 
 
 # --------------------------------------------------------------------------
@@ -946,8 +914,8 @@ class ScenarioReport:
                 "seed": self.policy.seed,
                 "samples": self.policy.count,
                 "box": list(self.policy.box),
-                "tol_abs": self.policy.tol_abs,
-                "tol_rel": self.policy.tol_rel,
+                "tol_abs": self.policy.tol,
+                "tol_rel": self.policy.tol,
             },
             "checks": checks,
             "summary": {
@@ -972,15 +940,12 @@ def run_scenario(
 ) -> ScenarioReport:
     import time as _time
 
-    policy = scenario.policy
-    if seed is not None or samples is not None or tol is not None:
-        policy = SamplingPolicy(
-            seed=policy.seed if seed is None else seed,
-            count=policy.count if samples is None else samples,
-            box=policy.box,
-            tol_abs=policy.tol_abs if tol is None else tol,
-            tol_rel=policy.tol_rel if tol is None else tol,
-        )
+    overrides = {"seed": seed, "samples": samples, "tol": tol}
+    policy, problems = _policy(scenario.policy, {k: v for k, v in overrides.items() if v is not None})
+    names = {spec.name for spec in scenario.checks}
+    problems += [f"--only: no check named '{n}'" for n in only or () if n not in names]
+    if problems:
+        raise ScenarioError(problems)
     outcomes = []
     for spec in scenario.checks:
         if only and spec.name not in only:
@@ -997,8 +962,4 @@ def run_scenario(
         if result.name != spec.name:
             result = replace(result, name=spec.name)
         outcomes.append(CheckOutcome(spec, result, wall))
-    if only:
-        missing = [n for n in only if all(o.spec.name != n for o in outcomes)]
-        if missing:
-            raise ScenarioError([f"--only: no check named '{n}'" for n in missing])
     return ScenarioReport(scenario, policy, tuple(outcomes))

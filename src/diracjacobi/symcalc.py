@@ -1119,7 +1119,7 @@ def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, flo
     """Evaluate in floats, tracking a cancellation-aware magnitude scale.
 
     The scale bounds the size of the intermediate quantities that were
-    combined; |value| <= tol_abs + tol_rel * scale is the sampled-zero test.
+    combined; |value| <= tol + tol * scale is the sampled-zero test.
     """
     if isinstance(e, Constant):
         v = float(e.value)
@@ -1186,15 +1186,14 @@ class SamplingPolicy:
 
     seed feeds every substream (labelled, so checks are independent of each
     other's sample consumption); count points per check; box is the sampling
-    interval used for every coordinate; tolerances define the sampled-zero
-    test |v| <= tol_abs + tol_rel * scale.
+    interval used for every coordinate; tol is both the absolute and the
+    relative tolerance of the sampled-zero test |v| <= tol + tol * scale.
     """
 
     seed: int = 0
     count: int = 50
     box: tuple[float, float] = (-2.0, 2.0)
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-9
+    tol: float = 1e-9
 
     def rng(self, label: str) -> random.Random:
         return random.Random(_mix_seed(self.seed, label))
@@ -1298,7 +1297,7 @@ def check_zero_all(
                     if not (math.isfinite(fv) and math.isfinite(scale)):
                         raise EvaluationError("non-finite sample")
                     max_abs = max(max_abs, abs(fv))
-                    if abs(fv) > policy.tol_abs + policy.tol_rel * scale:
+                    if abs(fv) > policy.tol + policy.tol * scale:
                         return ZeroReport(
                             ZeroVerdict.NONZERO, "float-sampled", abs(fv), point, fv, accepted + 1
                         )

@@ -1,5 +1,6 @@
 """Scenario loading/validation, the runner, the CLI, and report determinism."""
 
+import inspect
 import json
 import math
 import re
@@ -8,15 +9,19 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
+from diracjacobi import scenario
 from diracjacobi.cli import fixture_names, main, resolve_scenario_path
 from diracjacobi.report import CheckVerdict
 from diracjacobi.scenario import (
     CHECKS,
     GROUPOIDS,
+    SECTIONS,
     STRUCTURES,
     TOP_LEVEL_KEYS,
     Kind,
+    Ref,
     ScenarioError,
     load_scenario,
     run_scenario,
@@ -208,6 +213,33 @@ def test_malformed_values_all_listed(tmp_path):
     assert len(err.value.problems) == 3
 
 
+@pytest.mark.parametrize(
+    "override, problem",
+    [(["--samples", "0"], "samples must be a positive integer"),
+     (["--samples", "-2"], "samples must be a positive integer"),
+     (["--tol", "nan"], "tol must be a non-negative number"),
+     (["--tol", "-1"], "tol must be a non-negative number")],
+    ids=["samples-zero", "samples-negative", "tol-nan", "tol-negative"],
+)
+def test_bad_overrides_exit_2_before_any_check(tmp_path, capsys, override, problem):
+    # exp(x) - 1 is no identity; with no samples or a NaN tolerance it would PASS
+    p = tmp_path / "false.scn"
+    p.write_text('name: false\ncharts: {M: [x]}\n'
+                 'checks: [{check: expr-zero, chart: M, expr: "exp(x) - 1"}]\n')
+    assert main(["run", str(p), *override]) == 2
+    out, err = capsys.readouterr()
+    assert problem in err and "Traceback" not in err and "PASS" not in out
+
+
+def test_unknown_only_name_stops_before_any_check(tiny, monkeypatch):
+    ran = []
+    kind = CHECKS["involutivity"]
+    monkeypatch.setitem(CHECKS, "involutivity", Kind(lambda *a, **k: ran.append(a), *kind.args))
+    with pytest.raises(ScenarioError, match="no check named 'nope'"):
+        run_scenario(load_scenario(tiny), only=["inv", "nope"])
+    assert ran == []
+
+
 def test_box_narrower_than_the_rational_grid(tmp_path, capsys):
     p = tmp_path / "narrow.scn"
     p.write_text('name: narrow\nbox: [0.001, 0.002]\ncharts: {M: [x, y]}\n'
@@ -317,6 +349,25 @@ def test_readme_lists_every_top_level_key():
     assert tuple(re.findall(r"`([^`]+)`", listed)) == TOP_LEVEL_KEYS
 
 
+def test_every_kind_takes_its_declared_arguments():
+    sections = [kinds for _, _, kinds in SECTIONS if isinstance(kinds, Kind)]
+    kinds = [(kind, ("policy",)) for kind in (*sections, *STRUCTURES.values(), *GROUPOIDS.values())]
+    kinds += [(kind, ("policy", "name")) for kind in CHECKS.values()]
+    tables = {"charts", *(key for key, _, _ in SECTIONS)}
+    for kind, leading in kinds:
+        declared = tuple(arg.key.replace("-", "_") for arg in kind.args)
+        assert tuple(inspect.signature(kind.fn).parameters) == leading + declared, declared
+        assert {arg.section for arg in kind.args if isinstance(arg, Ref)} <= tables, declared
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+def test_libyaml_and_python_loaders_agree_on_every_fixture():
+    assert scenario._YAML_LOADER is yaml.CSafeLoader
+    for name in fixture_names():
+        data = resolve_scenario_path(name).read_bytes()
+        assert yaml.load(data, Loader=yaml.CSafeLoader) == yaml.load(data, Loader=yaml.SafeLoader), name
+
+
 class TestRunner:
     def test_expectations(self, tiny):
         report = run_scenario(load_scenario(tiny))
@@ -338,7 +389,7 @@ class TestRunner:
 
     def test_tol_override(self, tiny):
         report = run_scenario(load_scenario(tiny), tol=1e-6)
-        assert report.policy.tol_abs == 1e-6 and report.policy.tol_rel == 1e-6
+        assert report.policy.tol == 1e-6
 
     def test_json_report_shape(self, tiny):
         d = run_scenario(load_scenario(tiny)).to_json_dict()
