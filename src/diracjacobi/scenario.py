@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
@@ -97,7 +98,6 @@ from .symcalc import (
     SamplingPolicy,
     ZERO,
     check_zero_all,
-    is_structurally_zero,
     parse,
 )
 
@@ -439,9 +439,11 @@ def _cocycle_values(policy, name, structure, values):
     phi = extract_cocycle(structure)
     if len(values) != len(phi.values):
         return error_result(name, f"expected {len(phi.values)} values, got {len(values)}")
-    ok = all(is_structurally_zero(a - b) for a, b in zip(phi.values, values))
-    details = () if ok else ("extracted cocycle differs from the declared values",)
-    return passfail(name, ok, mode="symbolic", details=details)
+    f = Findings(name)
+    f.zero(check_zero_all([a - b for a, b in zip(phi.values, values)], policy,
+                          coords=structure.chart.coords, label=name),
+           "extracted cocycle differs from the declared values")
+    return f.result()
 
 
 def _closed_2_cochain(policy, name, structure, omega):
@@ -624,6 +626,11 @@ SECTIONS: tuple[tuple[str, str, Kind | dict[str, Kind]], ...] = (
 )
 
 
+def _lookup(table: Mapping[str, Any], key) -> Any:
+    """``table[key]`` for a string key, else None: a YAML list or mapping names nothing."""
+    return table.get(key) if isinstance(key, str) else None
+
+
 def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -787,7 +794,7 @@ class _Builder:
                 continue
             kind, fixed = kinds, ()
             if isinstance(kinds, dict):
-                kind, fixed = kinds.get(spec.get("kind")), ("kind",)
+                kind, fixed = _lookup(kinds, spec.get("kind")), ("kind",)
                 if kind is None:
                     self.fail(f"{where}: unknown {label} kind '{spec.get('kind')}'")
                     continue
@@ -816,10 +823,13 @@ class _Builder:
                 self.fail(f"{where}: must be a mapping")
                 continue
             kind = spec.get("check")
-            if kind not in CHECKS:
+            if _lookup(CHECKS, kind) is None:
                 self.fail(f"{where}: unknown check kind '{kind}'")
                 continue
             name = spec.get("name", f"{kind}#{i + 1}")
+            if not isinstance(name, Hashable):
+                self.fail(f"{where}: name must be a scalar")
+                continue
             if name in seen_names:
                 self.fail(f"{where}: duplicate check name '{name}'")
                 continue

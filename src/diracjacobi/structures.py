@@ -121,7 +121,8 @@ def _replay(step, rows: list[list[Expr]]) -> None:
 
 
 def _sampled_nonzero(e: Expr) -> bool:
-    """Whether the default sampling policy finds ``e`` nonzero at some point."""
+    """Whether a zero test under the default policy finds ``e`` nonzero.  For a
+    rational ``e`` normalization decides it; points decide a transcendental one."""
     try:
         return check_zero_all([e], SamplingPolicy(), label="pivot").verdict is ZeroVerdict.NONZERO
     except SamplingExhaustedError:
@@ -134,7 +135,7 @@ _PIVOT_RULE = (lambda e: isinstance(e, Constant), is_nonvanishing, _sampled_nonz
 def _eliminate(columns: list[list[Expr]], height: int) -> Elimination:
     """Gauss-Jordan elimination, column by column.  A pivot is proven nonzero: a
     constant when the column has one, else a certified nonvanishing entry, else
-    the first entry sampling shows nonzero; a column with none left gets no pivot."""
+    the first entry a zero test shows nonzero; a column with none left gets no pivot."""
     rows = [[c[r] for c in columns] for r in range(height)]
     pivots, steps = {}, []
     for col in range(len(columns)):

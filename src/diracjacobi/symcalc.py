@@ -3,22 +3,20 @@
 The expression language is deliberately small: exact rational constants,
 coordinates, sums, products, quotients, integer powers, and the elementary
 functions exp, ln, sin, cos (one ``Function`` node family).  Normalization
-is structural only (flatten, fold constants, collect identical monomials,
-merge exponentials, and keep only a sum under a quotient).  Products
-of sums, positive powers of sums included, are multiplied out in full, one
-sum at a time, with equal monomials collected as they form.  Inside one
-product every monomial is a packed exponent key: its atoms (the bases of its
-powers) are indexed once, their exponents are the signed digits of one int,
-so a pair of terms multiplies by one int addition, and only the distinct
-monomials of the result are unpacked into nodes that share their
-coefficient and power nodes; a sum of raw products collects all their terms
-in one set of buckets.  A monomial is differentiated by shifting the
-exponent of the coordinate; only the other atoms take the product rule.
-Work that belongs to an immutable node is done once and kept on it: its
-hash, its sort key, its free coordinates, the mark that it is normal, and
-its derivative by each coordinate.  Identity checking beyond that falls
-back to randomized point evaluation, which is exact on rational expressions
-when sampled at rational points; at float points it runs in floats alone.
+is structural (flatten, fold constants, collect identical monomials, merge
+exponentials) and gives every value one rational form: a numerator free of
+quotients over at most one sum, found as ``sympy.together`` finds it, with
+no gcd taken.  The numerator is multiplied out in full, one sum at a time,
+with equal monomials collected as they form, so a rational expression is
+zero exactly when it normalizes to 0.  Inside one product every monomial is
+a packed exponent key: its atoms are indexed once and their exponents are
+the signed digits of one int, so a pair of terms multiplies by one int
+addition.  A monomial is differentiated by shifting the exponent of the
+coordinate; only the other atoms take the product rule.  Work that belongs
+to an immutable node is done once and kept on it: its hash, its sort key,
+its free coordinates, the mark that it is normal, and its derivative by
+each coordinate.  Sampling decides only a zero test with a transcendental
+node, in floats; at exact rational points it only looks for a witness.
 """
 
 from __future__ import annotations
@@ -317,11 +315,8 @@ def _constant(value: int | Fraction) -> Constant:
 
 
 def _power(base: Expr, n: int) -> Expr:
-    """base^n as a monomial factor.  A power of a quotient is the quotient of the
-    powers; any other power is one shared node, marked normal (a sum or product
-    base here is one that an exp merge left as a factor, and it stays)."""
-    if isinstance(base, Quotient):
-        return normalize(IntegerPower(base, n))
+    """base^n as a monomial factor: one shared node, marked normal (a sum or
+    product base here is one that an exp merge left as a factor, and it stays)."""
     node = _POWERS.get((base, n))
     if node is None:
         node = _POWERS[(base, n)] = _mark(IntegerPower(base, n))
@@ -384,27 +379,11 @@ def _base_exponent(f: Expr) -> tuple[Expr, int]:
     return (f.base, f.exponent) if isinstance(f, IntegerPower) else (f, 1)
 
 
-def _one_quotient(coeff: int | Fraction, factors: list[Expr]) -> tuple[int | Fraction, list[Expr]]:
-    """A monomial's quotient factors as one: the product of their numerators over
-    the product of their denominators, so that (q*q)*q, q*q*q and q^3 agree.  A
-    product of denominators that multiplies out to no sum keeps them apart."""
-    quotients = [f for f in factors if isinstance(f, Quotient)]
-    if len(quotients) < 2:
-        return coeff, factors
-    merged = normalize(Quotient(Product(tuple(q.numerator for q in quotients)),
-                                Product(tuple(q.denominator for q in quotients))))
-    rest = [f for f in factors if not isinstance(f, Quotient)]
-    if isinstance(merged, Constant):
-        return coeff * _exact(merged.value), rest
-    return (coeff, rest + [merged]) if isinstance(merged, Quotient) else (coeff, factors)
-
-
 def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]]:
     """Multiply normalized factors that are not sums into (coefficient, monomial).
 
     Constants fold into the coefficient, exp factors merge into one, repeated
-    bases combine into integer powers, quotients into one quotient, and the
-    factors come out sorted.
+    bases combine into integer powers, and the factors come out sorted.
     """
     coeff: int | Fraction = 1
     exp_args: list[Expr] = []
@@ -431,7 +410,6 @@ def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]
         powers[base] = powers.get(base, 0) + n
     out = [base if n == 1 else _power(base, n) for base, n in powers.items() if n != 0]
     if len(out) > 1:
-        coeff, out = _one_quotient(coeff, out)
         out.sort(key=_sort_key)
     return coeff, tuple(out)
 
@@ -537,7 +515,6 @@ def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]
         acc = {eo: {k: c for k, c in part.items() if c != 0} for eo, part in out.items()}
 
     bases = list(slots)
-    quotients = any(isinstance(base, Quotient) for base in bases)
     mask, sign = (1 << width) - 1, 1 << (width - 1)
     powers: dict[tuple[int, int], Expr] = {}  # (slot, exponent) -> factor
     buckets: dict[tuple[Expr, ...], int | Fraction] = {}
@@ -557,12 +534,8 @@ def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]
                         f = powers[(slot, n)] = base if n == 1 else _power(base, n)
                     fs.append(f)
             if len(fs) > 1:
-                if quotients:
-                    c, fs = _one_quotient(c, fs)
                 fs.sort(key=_sort_key)
-            # two quotients can merge into a third that another term holds
-            t = tuple(fs)
-            buckets[t] = buckets.get(t, 0) + c if quotients else c
+            buckets[tuple(fs)] = c
     return buckets
 
 
@@ -588,63 +561,104 @@ def normalize(e: Expr) -> Expr:
     return _mark(_normalize(e))
 
 
-def _product_terms(e: Product) -> dict[tuple[Expr, ...], int | Fraction]:
-    """The terms of a product multiplied out, as {monomial: coefficient}."""
+def _is_quotient(e: Expr) -> bool:
+    """Whether ``e`` is a quotient over a sum, not a singular one over 0."""
+    return isinstance(e, Quotient) and isinstance(e.denominator, Sum)
+
+
+def _product(e: Product) -> dict[tuple[Expr, ...], int | Fraction] | Expr:
+    """A product multiplied out: {monomial: coefficient} when no factor is a
+    quotient, else the product of the numerators over that of the denominators."""
     raw: list[Expr] = []
+    dens: list[Expr] = []
 
     def flatten(factor: Expr) -> None:
         if isinstance(factor, Product):
             for f in factor.factors:
                 flatten(f)
+        elif _is_quotient(factor):
+            flatten(factor.numerator)
+            dens.append(factor.denominator)
         else:
             raw.append(factor)
 
     for f in e.factors:
         flatten(normalize(f))
-    return _multiply(raw)
+    if not dens:
+        return _multiply(raw)
+    return _over(_sum_of_terms(_multiply(raw)), normalize(Product(tuple(dens))))
+
+
+def _over(num: Expr, den: Expr) -> Expr:
+    """num/den for normalized num and den.  Only a sum stays under a quotient,
+    under a numerator free of quotients: a one-term denominator becomes the
+    negative powers of its factors, a quotient on either side is multiplied
+    through, and a numerator c times the denominator is the constant c."""
+    if den == ZERO:
+        return Quotient(num, den)  # singular; evaluation will report it
+    if _is_quotient(den):
+        return normalize(Product((num, Quotient(den.denominator, den.numerator))))
+    if not isinstance(den, Sum) or _is_quotient(num):
+        return normalize(Product((num, IntegerPower(den, -1))))
+    if num == ZERO:
+        return ZERO
+    ratio = _ratio(num, den)
+    return Quotient(num, den) if ratio is None else _constant(ratio)
+
+
+def _collect(parts: Iterable[Expr], buckets: dict | None = None) -> Expr:
+    """The normal form of the sum of ``parts`` and of the quotient-free terms
+    in ``buckets`` ({monomial: coefficient}).  A raw product among the parts
+    is multiplied out straight into the buckets and a raw sum's terms join the
+    parts.  The quotients collect by denominator, and a sum of quotients goes
+    over the product of its distinct denominators, each numerator times the
+    others."""
+    buckets = {} if buckets is None else buckets
+    over: dict[Expr, list[Expr]] = {}  # denominator -> its numerators
+    todo = list(parts)
+    for p in todo:
+        if not p.__dict__.get("_norm", False):
+            if isinstance(p, Sum):
+                todo.extend(p.terms)
+                continue
+            p = _product(p) if isinstance(p, Product) else normalize(p)
+            if isinstance(p, dict):
+                for fs, c in p.items():
+                    buckets[fs] = buckets.get(fs, 0) + c
+                continue
+        if _is_quotient(p):
+            over.setdefault(p.denominator, []).append(p.numerator)
+        else:
+            for c, fs in map(_split_term, p.terms if isinstance(p, Sum) else (p,)):
+                buckets[fs] = buckets.get(fs, 0) + _exact(c)
+    nums = {den: num for den, ns in over.items()
+            if (num := ns[0] if len(ns) == 1 else _collect(ns)) != ZERO}
+    if not nums:
+        return _sum_of_terms(buckets)
+    dens = sorted(nums, key=_sort_key)
+    nums[ONE] = _sum_of_terms(buckets)
+    num = _collect([Product((n, *(d for d in dens if d is not den))) for den, n in nums.items()])
+    return _over(num, normalize(Product(tuple(dens))))
 
 
 def _normalize(e: Expr) -> Expr:
-    """One normal form per value.  Products of sums are multiplied out into
-    sorted monomials, each with at most one quotient factor.  Only a sum stays
-    under a quotient: a one-term denominator becomes the negative powers of
-    its factors.  A power of a product, quotient or exp is taken factor by
-    factor, and a power of a sum is multiplied out, a negative one as 1 over
-    the positive one."""
+    """One normal form per rational value: a numerator free of quotients, over
+    at most one sum.  Products of sums are multiplied out into sorted
+    monomials.  A sum of quotients goes over the product of its distinct
+    denominators, a product multiplies its numerators and its denominators,
+    and a one-term denominator becomes the negative powers of its factors.  A
+    power of a product or exp is taken factor by factor, and a power of a
+    sum or quotient is multiplied out, a negative one as 1 over the positive
+    one.  A quotient over 0 is singular and stays whole, as a factor."""
     if isinstance(e, Sum):
-        buckets: dict[tuple[Expr, ...], int | Fraction] = {}
-
-        def absorb(term: Expr) -> None:
-            if isinstance(term, Sum):
-                for t in term.terms:
-                    absorb(t)
-                return
-            coeff, factors = _split_term(term)
-            buckets[factors] = buckets.get(factors, 0) + _exact(coeff)
-
-        for t in e.terms:
-            if isinstance(t, Product) and not t.__dict__.get("_norm", False):
-                # a raw product's terms go straight into the sum's buckets
-                for factors, coeff in _product_terms(t).items():
-                    buckets[factors] = buckets.get(factors, 0) + coeff
-            else:
-                absorb(normalize(t))
-        return _sum_of_terms(buckets)
+        return _collect(e.terms)
 
     if isinstance(e, Product):
-        return _sum_of_terms(_product_terms(e))
+        p = _product(e)
+        return _sum_of_terms(p) if isinstance(p, dict) else p
 
     if isinstance(e, Quotient):
-        num = normalize(e.numerator)
-        den = normalize(e.denominator)
-        if den == ZERO:
-            return Quotient(num, den)  # singular; evaluation will report it
-        if not isinstance(den, Sum):
-            return normalize(Product((num, IntegerPower(den, -1))))
-        if num == ZERO:
-            return ZERO
-        ratio = _ratio(num, den)
-        return Quotient(num, den) if ratio is None else _constant(ratio)
+        return _over(normalize(e.numerator), normalize(e.denominator))
 
     if isinstance(e, IntegerPower):
         base = normalize(e.base)
@@ -664,18 +678,11 @@ def _normalize(e: Expr) -> Expr:
             return normalize(IntegerPower(base.base, base.exponent * n))
         if isinstance(base, Product):
             return normalize(Product(tuple(IntegerPower(f, n) for f in base.factors)))
-        if isinstance(base, Quotient):
-            num, den = base.numerator, base.denominator
-            if n < 0:
-                if den == ZERO:
-                    return IntegerPower(base, n)  # singular; no swap makes it 0
-                num, den = den, num
-            return normalize(Quotient(IntegerPower(num, abs(n)), IntegerPower(den, abs(n))))
         if isinstance(base, Exp):
             return normalize(Exp(Product((Constant(Fraction(n)), base.arg))))
-        if isinstance(base, Sum):
+        if isinstance(base, Sum) or _is_quotient(base):
             power = normalize(Product((base,) * abs(n)))
-            return power if n > 0 else normalize(Quotient(ONE, power))
+            return power if n > 0 else _over(ONE, power)
         return _power(base, n)
 
     arg = normalize(e.arg)  # every other node is a Function
@@ -935,7 +942,8 @@ def _derivative(n: Expr, v: str) -> Expr:
     A power of the coordinate ``v`` in a monomial shifts its exponent in
     place.  Any other factor takes the product rule with its own kept
     derivative, and that product alone is multiplied out.  A node that is
-    neither a sum nor a product takes one level of ``_diff``.
+    neither a sum nor a product takes one level of ``_diff``.  The parts
+    collect as a sum's terms do, into the normal form of the raw derivative.
     """
     def d(f: Expr) -> Expr:
         # a factor that is not its own normal form is differentiated as it
@@ -946,15 +954,11 @@ def _derivative(n: Expr, v: str) -> Expr:
 
     if not isinstance(n, (Sum, Product)):
         return d(n)
-    buckets: dict[tuple[Expr, ...], int | Fraction] = {}
-
-    def absorb(e: Expr) -> None:
-        for c, fs in map(_split_term, e.terms if isinstance(e, Sum) else (e,)):
-            buckets[fs] = buckets.get(fs, 0) + _exact(c)
-
+    shifted: dict[tuple[Expr, ...], int | Fraction] = {}
+    parts: list[Expr] = []
     for t in n.terms if isinstance(n, Sum) else (n,):
         if not isinstance(t, Product):
-            absorb(d(t))
+            parts.append(d(t))
             continue
         coeff, factors = _split_term(t)
         shift = all(map(_multiplies_back, factors))
@@ -965,28 +969,26 @@ def _derivative(n: Expr, v: str) -> Expr:
                     continue
                 rest = factors[:i] + factors[i + 1 :]
                 if k != 1:
-                    shifted = base if k == 2 else _power(base, k - 1)
-                    rest = tuple(sorted(rest + (shifted,), key=_sort_key))
-                buckets[rest] = buckets.get(rest, 0) + _exact(coeff) * k
+                    rest = tuple(sorted(rest + (base if k == 2 else _power(base, k - 1),), key=_sort_key))
+                shifted[rest] = shifted.get(rest, 0) + _exact(coeff) * k
                 continue
             df = d(f)
             if not (isinstance(df, Constant) and df.value == 0):
-                term = Product((_constant(coeff), *factors[:i], df, *factors[i + 1 :]))
-                for fs, c in _product_terms(term).items():
-                    buckets[fs] = buckets.get(fs, 0) + c
-    return _sum_of_terms(buckets)
+                parts.append(Product((_constant(coeff), *factors[:i], df, *factors[i + 1 :])))
+    return _collect(parts, shifted)
 
 
 def _multiplies_back(f: Expr) -> bool:
     """Whether multiplying the monomial factor ``f`` out again gives ``f`` back.
 
-    Not so for a sum or a product that an exp merge left as a factor
-    (exp(ln(u)) is u): a product flattens into the others and a sum is
-    multiplied out.  Every power is its own normal form (``_power`` marks
-    it).  The product rule multiplies the other factors out again, so the
-    exponent shift keeps to monomials without such factors.
+    Not so for a sum, product or quotient that an exp merge left as a factor
+    (exp(ln(u)) is u): a product flattens into the others, a sum is
+    multiplied out, and a quotient's numerator joins the others.  Every
+    power is its own normal form (``_power`` marks it).  The product rule
+    multiplies the other factors out again, so the exponent shift keeps to
+    monomials without such factors.
     """
-    return not isinstance(f, (Sum, Product))
+    return not (isinstance(f, (Sum, Product)) or _is_quotient(f))
 
 
 def _diff(e: Expr, v: str, inner=None) -> Expr:
@@ -1243,10 +1245,12 @@ def check_zero_all(
 ) -> ZeroReport:
     """Decide whether every expression vanishes identically.
 
-    Structural zeros short-circuit; otherwise all expressions are evaluated
-    at a shared set of sampled points (exact rational points when every
-    expression is rational).  Singular points, where evaluation fails or a
-    float value or scale is not finite, are discarded and resampled up to
+    Normalization decides a rational expression: ZERO (mode symbolic) when it
+    normalizes to 0, else NONZERO, with exact rational points sampled only
+    for a witness (mode rational-sampled).  Any other expression is sampled
+    in floats (mode float-sampled), NONZERO at a value above the tolerance,
+    else PROBABLY_ZERO.  Singular points, where evaluation fails or a float
+    value or scale is not finite, are discarded and resampled up to
     RESAMPLE_FACTOR * count attempts.
     """
     remaining = [n for n in (normalize(e) for e in exprs) if not (isinstance(n, Constant) and n.value == 0)]
@@ -1261,6 +1265,7 @@ def check_zero_all(
         coords = sorted(frozenset().union(*map(free_coordinates, remaining)))
 
     rational = all(is_rational(n) for n in remaining)
+    mode = "rational-sampled" if rational else "float-sampled"
     rng = policy.rng(label)
     lo, hi = policy.box
     max_attempts = RESAMPLE_FACTOR * policy.count
@@ -1285,28 +1290,23 @@ def check_zero_all(
         try:
             for n in remaining:
                 if rational:
-                    v = evaluate(n, point)  # exact: the verdict reads v, not its float
-                    fv = _finite_float(v)
-                    max_abs = max(max_abs, abs(fv))
-                    if v != 0:
-                        return ZeroReport(
-                            ZeroVerdict.NONZERO, "rational-sampled", abs(fv), point, fv, accepted + 1
-                        )
+                    v = evaluate(n, point)  # exact: the witness is v, not its float
+                    fv, witness = _finite_float(v), v != 0
                 else:
                     fv, scale = evaluate_with_scale(n, {c: float(x) for c, x in point.items()})
                     if not (math.isfinite(fv) and math.isfinite(scale)):
                         raise EvaluationError("non-finite sample")
-                    max_abs = max(max_abs, abs(fv))
-                    if abs(fv) > policy.tol + policy.tol * scale:
-                        return ZeroReport(
-                            ZeroVerdict.NONZERO, "float-sampled", abs(fv), point, fv, accepted + 1
-                        )
+                    witness = abs(fv) > policy.tol + policy.tol * scale
+                max_abs = max(max_abs, abs(fv))
+                if witness:
+                    return ZeroReport(ZeroVerdict.NONZERO, mode, abs(fv), point, fv, accepted + 1)
         except EvaluationError:
             continue  # singular sample: discard and redraw
         accepted += 1
 
-    mode = "rational-sampled" if rational else "float-sampled"
-    return ZeroReport(ZeroVerdict.PROBABLY_ZERO, mode, max_abs, None, 0.0, accepted)
+    # a rational value that does not normalize to 0 is not 0, witness or none
+    verdict = ZeroVerdict.NONZERO if rational else ZeroVerdict.PROBABLY_ZERO
+    return ZeroReport(verdict, mode, max_abs, None, 0.0, accepted)
 
 
 def is_zero(e: Expr, policy: SamplingPolicy | None = None) -> ZeroReport:

@@ -601,7 +601,8 @@ def second_forms(e) -> list:
     """The subterms of a normalized ``e`` that another normal form would also
     denote: a quotient over a one-term denominator (it is a negative power),
     a power of a quotient, product, sum or exp (each is rewritten), and a
-    product with two quotient factors (they are one quotient)."""
+    product or sum with a quotient over a sum among its factors or terms
+    (the quotient takes them into its numerator)."""
     found, stack = [], [e]
     while stack:
         n = stack.pop()
@@ -613,12 +614,11 @@ def second_forms(e) -> list:
             if isinstance(n.base, (Quotient, Product, Sum, Exp)):
                 found.append(n)
             stack.append(n.base)
-        elif isinstance(n, Product):
-            if sum(isinstance(f, Quotient) for f in n.factors) > 1:
+        elif isinstance(n, (Product, Sum)):
+            parts = n.factors if isinstance(n, Product) else n.terms
+            if any(isinstance(f, Quotient) and isinstance(f.denominator, Sum) for f in parts):
                 found.append(n)
-            stack += n.factors
-        elif isinstance(n, Sum):
-            stack += n.terms
+            stack += parts
         elif isinstance(n, Function):
             stack.append(n.arg)
     return found

@@ -204,6 +204,25 @@ def test_malformed_values_exit_2_at_load(tmp_path, capsys, extra, problem):
     assert problem in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "body, problem",
+    [
+        (MALFORMED.replace("kind: theta", "kind: [a]") + ONE_CHECK,
+         "structure 'Ltheta': unknown structure kind '['a']'"),
+        (MALFORMED + "checks: [{check: [a], chart: M}]\n", "check #1: unknown check kind '['a']'"),
+        (MALFORMED + "checks: [{check: involutivity, name: [a], structure: L0}]\n",
+         "check #1: name must be a scalar"),
+    ],
+    ids=["structure-kind-a-list", "check-kind-a-list", "check-name-a-list"],
+)
+def test_unhashable_names_exit_2_at_load(tmp_path, capsys, body, problem):
+    p = tmp_path / "unhashable.scn"
+    p.write_text(body)
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+
+
 def test_malformed_values_all_listed(tmp_path):
     p = tmp_path / "malformed.scn"
     p.write_text(MALFORMED + "box: [1, -1]\ntol: abc\n"
@@ -458,6 +477,35 @@ checks:
         assert r.returncode == 0 and "--list-checks" in r.stdout
 
 
+COCYCLE_VALUES = """
+name: cocycle-values
+charts: {M: [x]}
+forms:
+  theta: {chart: M, degree: 1, coeffs: {x: "1"}}
+structures:
+  Ltheta: {kind: theta, form: theta}
+checks: [{check: cocycle-values, name: slots, structure: Ltheta, values: ["0", "%s"]}]
+"""
+
+
+@pytest.mark.parametrize(
+    "value, verdict, mode",
+    [
+        ("1", CheckVerdict.PASS, "symbolic"),
+        ("x/(1 + x) + 1/(1 + x)", CheckVerdict.PASS, "symbolic"),
+        ("sin(x)^2 + cos(x)^2", CheckVerdict.PASS, "sampled"),
+        ("2", CheckVerdict.FAIL, "symbolic"),
+        ("sin(x)^2", CheckVerdict.FAIL, "sampled"),
+    ],
+)
+def test_cocycle_values_are_zero_tested(tmp_path, value, verdict, mode):
+    # Ltheta with theta = dx has the cocycle values (0, 1)
+    p = tmp_path / "cocycle.scn"
+    p.write_text(COCYCLE_VALUES % value)
+    (outcome,) = run_scenario(load_scenario(p)).outcomes
+    assert (outcome.result.verdict, outcome.result.mode) == (verdict, mode)
+
+
 class TestShippedFixtures:
     def test_every_fixture_is_green(self):
         names = fixture_names()
@@ -484,6 +532,31 @@ class TestShippedFixtures:
                 chunks.append(report.to_json())
             blobs.append("".join(chunks).encode())
         assert blobs[0] == blobs[1]
+
+    def test_the_unproven_verdicts_are_these(self):
+        # every other shipped verdict is decided by normalization: a proof lost
+        # to sampling, or one gained, shows here
+        unproven = {
+            ("conformal_class", "conformal-lift-pair-identity"),
+            ("negative_controls", "not-identically-zero"),
+            ("negative_controls", "sigma-not-multiplicative"),
+            ("negative_controls", "broken-multiplication"),
+            ("negative_controls", "dropped-scale-not-multiplicative"),
+            ("negative_controls", "not-homogeneous"),
+            ("negative_controls", "scale-dropped-iso"),
+            ("negative_controls", "non-closed-cochain"),
+            ("precontact_line", "pythagoras"),
+            ("precontact_xdy", "precontact"),
+            ("precontact_xdy", "extraction-matches"),
+            ("precontact_xdy", "target-forward"),
+            ("precontact_xdy", "conformal-coherence"),
+        }
+        modes = {}
+        for name in fixture_names():
+            for o in run_scenario(load_scenario(resolve_scenario_path(name))).outcomes:
+                modes[(name, o.result.name)] = o.result.mode
+        assert len(modes) == 89
+        assert {key for key, mode in modes.items() if mode != "symbolic"} == unproven
 
     def test_seed_changes_report(self):
         p = resolve_scenario_path("precontact_line")

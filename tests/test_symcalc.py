@@ -36,6 +36,7 @@ from diracjacobi.symcalc import (
     evaluate,
     evaluate_with_scale,
     free_coordinates,
+    is_structurally_zero,
     is_zero,
     normalize,
     parse,
@@ -441,10 +442,81 @@ def test_a_quotient_of_proportional_terms_is_its_constant():
         "(x/(1+y))*(1/(1+x)) - x/((1+y)*(1+x))",
         "(x/(1+y))^-1 - (1+y)/x",
         "exp(x)*(1/(2*exp(x)*y)) - 1/(2*y)",
+        "y/(1+y) - y*(1/(1+y))",
+        "2/(1+x) - 2*(1/(1+x))",
+        "x/(1+x) + 1/(1+x) - 1",
+        "x/(1+y) + 1/(1+x) - (1 + x + y + x^2)/((1+y)*(1+x))",
+        "1/(1+x) - 1/(1+y) - (y - x)/((1+x)*(1+y))",
+        "(1/(1+x))/(1/(1+y)) - (1+y)/(1+x)",
     ],
 )
 def test_one_value_has_one_normal_form(text):
     assert parse(text, XY) == ZERO
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("y*(1/(1 + y))", "y/(1 + y)"),
+        ("x/(1 + y) + 1/(1 + x)", "(1 + x + y + x^2)/(1 + x + y + x*y)"),
+        ("x + 1/(1 + y)", "(1 + x + x*y)/(1 + y)"),
+        ("(x/(1 + y))*(y/(1 + x))", "x*y/(1 + x + y + x*y)"),
+    ],
+)
+def test_a_sum_of_quotients_goes_over_one_denominator(text, want):
+    assert render(parse(text, XY)) == want
+
+
+@pytest.mark.parametrize("text", ["x/0 - 1/0", "x/(y-y) - 1/(y-y)"])
+def test_singular_quotients_over_zero_stay_apart(text):
+    e = parse(text, XY)
+    assert not is_structurally_zero(e)
+    with pytest.raises(EvaluationError):
+        evaluate(e, {"x": Fraction(2), "y": Fraction(3)})
+
+
+def test_a_singular_quotient_stays_whole():
+    assert parse("x/0 - x/0", XY) == ZERO  # equal singular terms cancel
+    x, y = Coordinate("x"), Coordinate("y")
+    assert parse("y*(x/0)", XY) == Product((y, Quotient(x, ZERO)))  # a factor, not a numerator
+
+
+RATIONAL = exprs(functions=(), exponents=st.integers(-3, 3))
+
+
+def sympy_singular(e) -> bool:
+    """Whether sympy meets a division by zero anywhere in the raw tree ``e``."""
+    sympy = pytest.importorskip("sympy")
+    bad = (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo)
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if to_sympy(n).has(*bad):
+            return True
+        if isinstance(n, (Sum, Product)):
+            stack += n.terms if isinstance(n, Sum) else n.factors
+        elif isinstance(n, IntegerPower):
+            stack.append(n.base)
+    return False
+
+
+X, ONE_PLUS_X = Coordinate("x"), Sum((Constant(Fraction(1)), Coordinate("x")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(RATIONAL)
+@example(Sum((Product((X, IntegerPower(ONE_PLUS_X, -1))), IntegerPower(ONE_PLUS_X, -1), Constant(Fraction(-1)))))
+def test_normalization_decides_every_rational_zero(e):
+    sympy = pytest.importorskip("sympy")
+    assume(not sympy_singular(e))
+    assert is_structurally_zero(e) == (sympy.cancel(to_sympy(e)) == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RATIONAL)
+def test_rational_render_parse_roundtrip(e):
+    n = normalize(e)
+    assert parse(render(n), XYT) == n
 
 
 @pytest.mark.parametrize(
