@@ -4,13 +4,14 @@ The expression language is deliberately small: exact rational constants,
 coordinates, sums, products, quotients, integer powers, and the elementary
 functions exp, ln, sin, cos (one ``Function`` node family).  Normalization
 is structural (flatten, fold constants, collect identical monomials, merge
-exponentials) and gives every value one rational form: a numerator free of
-quotients over at most one sum, found as ``sympy.together`` finds it, with
-no gcd taken.  The numerator is multiplied out in full, one sum at a time,
-with equal monomials collected as they form, so a rational expression is
-zero exactly when it normalizes to 0.  Inside one product every monomial is
-a packed exponent key: its atoms are indexed once and their exponents are
-the signed digits of one int, so a pair of terms multiplies by one int
+exponentials, multiply out the u an exp merge leaves when exp(ln(u)) is u)
+and gives every value one rational form: a numerator free of quotients over
+at most one sum, found as ``sympy.together`` finds it, with no gcd
+taken.  The numerator is multiplied out in full, one sum at a time, with
+equal monomials collected as they form, so a rational expression is zero
+exactly when it normalizes to 0.  Inside one product every monomial is a
+packed exponent key: its atoms are indexed once and their exponents are the
+signed digits of one int, so a pair of terms multiplies by one int
 addition.  A monomial is differentiated by shifting the exponent of the
 coordinate; only the other atoms take the product rule.  Work that belongs
 to an immutable node is done once and kept on it: its hash, its sort key,
@@ -315,8 +316,7 @@ def _constant(value: int | Fraction) -> Constant:
 
 
 def _power(base: Expr, n: int) -> Expr:
-    """base^n as a monomial factor: one shared node, marked normal (a sum or
-    product base here is one that an exp merge left as a factor, and it stays)."""
+    """base^n as a monomial factor: one shared node, marked normal."""
     node = _POWERS.get((base, n))
     if node is None:
         node = _POWERS[(base, n)] = _mark(IntegerPower(base, n))
@@ -379,8 +379,15 @@ def _base_exponent(f: Expr) -> tuple[Expr, int]:
     return (f.base, f.exponent) if isinstance(f, IntegerPower) else (f, 1)
 
 
-def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]]:
-    """Multiply normalized factors that are not sums into (coefficient, monomial).
+def _multiplies_back(f: Expr) -> bool:
+    """Whether ``f`` is a monomial factor in its own right: an exp merge can
+    leave a sum, product or quotient (exp(ln(u)) is u), which is not."""
+    return not (isinstance(f, (Sum, Product)) or _is_quotient(f))
+
+
+def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...], bool]:
+    """Multiply normalized factors that are not sums into (coefficient,
+    monomial, whether a factor must still be multiplied out).
 
     Constants fold into the coefficient, exp factors merge into one, repeated
     bases combine into integer powers, and the factors come out sorted.
@@ -396,13 +403,15 @@ def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]
         else:
             plain.append(f)
     if coeff == 0:
-        return 0, ()
+        return 0, (), False
+    left = False
     if exp_args:
         merged = normalize(Exp(normalize(Sum(tuple(exp_args)))))
         if isinstance(merged, Constant):
             coeff *= _exact(merged.value)
         else:
             plain.append(merged)
+            left = not _multiplies_back(merged)
 
     powers: dict[Expr, int] = {}
     for f in plain:
@@ -411,14 +420,14 @@ def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...]
     out = [base if n == 1 else _power(base, n) for base, n in powers.items() if n != 0]
     if len(out) > 1:
         out.sort(key=_sort_key)
-    return coeff, tuple(out)
+    return coeff, tuple(out), left
 
 
-def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]:
+def _multiply(factors: Sequence[Expr]) -> tuple[dict[tuple[Expr, ...], int | Fraction], bool]:
     """Multiply normalized factors out in full, one pass per sum factor.
 
-    The result is {monomial factors: coefficient}; a sum that holds the
-    product as one of its terms adds these to its own buckets directly.
+    The result is {monomial factors: coefficient} and whether an exp merge
+    left a factor that is not a monomial factor in its own right.
 
     Every term of the factors is split once into its coefficient, its exp
     factor (a normalized monomial holds at most one) and its other factors
@@ -431,10 +440,10 @@ def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]
     merge once per pair of them; a merge that leaves no exp (exp(ln(u)) is
     u) adds its own exponents to the key.
     """
-    coeff, mono = _monomial(f for f in factors if not isinstance(f, Sum))
+    coeff, mono, left = _monomial(f for f in factors if not isinstance(f, Sum))
     sums = [f for f in factors if isinstance(f, Sum)]
     if not sums or coeff == 0:
-        return {mono: coeff} if coeff != 0 else {}
+        return ({mono: coeff} if coeff != 0 else {}), left
 
     slots: dict[Expr, int] = {}  # base -> slot
     exps: dict[Expr, int] = {}  # exp factor -> id; id 0 is no exp factor
@@ -458,6 +467,7 @@ def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]
         # exp(a) * exp(b) as (rational factor, exp id, [(slot, exponent)]):
         # exp(a + b) is one exp factor unless a + b is 0 or ln(c), a
         # constant, or ln(u), the node u
+        nonlocal left
         if not (ea and eb):
             return 1, ea or eb, []
         merged = normalize(Exp(normalize(Sum((exp_nodes[ea].arg, exp_nodes[eb].arg)))))
@@ -468,6 +478,7 @@ def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]
                 exps[merged] = len(exp_nodes)
                 exp_nodes.append(merged)
             return 1, exps[merged], []
+        left = left or not _multiplies_back(merged)
         base, n = _base_exponent(merged)
         return 1, 0, [(slots.setdefault(base, len(slots)), n)]
 
@@ -536,7 +547,7 @@ def _multiply(factors: Sequence[Expr]) -> dict[tuple[Expr, ...], int | Fraction]
             if len(fs) > 1:
                 fs.sort(key=_sort_key)
             buckets[tuple(fs)] = c
-    return buckets
+    return buckets, left
 
 
 def _strip_sign(e: Expr) -> tuple[int, Expr]:
@@ -584,9 +595,14 @@ def _product(e: Product) -> dict[tuple[Expr, ...], int | Fraction] | Expr:
 
     for f in e.factors:
         flatten(normalize(f))
-    if not dens:
-        return _multiply(raw)
-    return _over(_sum_of_terms(_multiply(raw)), normalize(Product(tuple(dens))))
+    if dens:
+        return normalize(Quotient(Product(tuple(raw)), Product(tuple(dens))))
+    buckets, left = _multiply(raw)
+    if not left:
+        return buckets
+    # each factor normalized afresh: a sum, product or quotient is multiplied out
+    return _collect([Product((_constant(c), *(IntegerPower(*_base_exponent(f)) for f in fs)))
+                     for fs, c in buckets.items()])
 
 
 def _over(num: Expr, den: Expr) -> Expr:
@@ -649,7 +665,8 @@ def _normalize(e: Expr) -> Expr:
     and a one-term denominator becomes the negative powers of its factors.  A
     power of a product or exp is taken factor by factor, and a power of a
     sum or quotient is multiplied out, a negative one as 1 over the positive
-    one.  A quotient over 0 is singular and stays whole, as a factor."""
+    one.  A quotient over 0 is singular and stays whole, as a factor; a
+    negative power of N/0 is a power of (1/N)/0, so no power of N/0 cancels it."""
     if isinstance(e, Sum):
         return _collect(e.terms)
 
@@ -683,6 +700,8 @@ def _normalize(e: Expr) -> Expr:
         if isinstance(base, Sum) or _is_quotient(base):
             power = normalize(Product((base,) * abs(n)))
             return power if n > 0 else _over(ONE, power)
+        if isinstance(base, Quotient) and n < 0:  # over 0: a power of N/0 never cancels (1/N)/0
+            return normalize(IntegerPower(Quotient(IntegerPower(base.numerator, -1), base.denominator), -n))
         return _power(base, n)
 
     arg = normalize(e.arg)  # every other node is a Function
@@ -945,26 +964,18 @@ def _derivative(n: Expr, v: str) -> Expr:
     neither a sum nor a product takes one level of ``_diff``.  The parts
     collect as a sum's terms do, into the normal form of the raw derivative.
     """
-    def d(f: Expr) -> Expr:
-        # a factor that is not its own normal form is differentiated as it
-        # stands, as the raw product rule would
-        if f is not n and _multiplies_back(f):
-            return differentiate(f, v)
-        return normalize(_diff(f, v, lambda child: differentiate(child, v)))
-
     if not isinstance(n, (Sum, Product)):
-        return d(n)
+        return normalize(_diff(n, v, lambda child: differentiate(child, v)))
     shifted: dict[tuple[Expr, ...], int | Fraction] = {}
     parts: list[Expr] = []
     for t in n.terms if isinstance(n, Sum) else (n,):
         if not isinstance(t, Product):
-            parts.append(d(t))
+            parts.append(differentiate(t, v))
             continue
         coeff, factors = _split_term(t)
-        shift = all(map(_multiplies_back, factors))
         for i, f in enumerate(factors):
             base, k = _base_exponent(f)
-            if shift and isinstance(base, Coordinate):
+            if isinstance(base, Coordinate):
                 if base.name != v:
                     continue
                 rest = factors[:i] + factors[i + 1 :]
@@ -972,23 +983,10 @@ def _derivative(n: Expr, v: str) -> Expr:
                     rest = tuple(sorted(rest + (base if k == 2 else _power(base, k - 1),), key=_sort_key))
                 shifted[rest] = shifted.get(rest, 0) + _exact(coeff) * k
                 continue
-            df = d(f)
+            df = differentiate(f, v)
             if not (isinstance(df, Constant) and df.value == 0):
                 parts.append(Product((_constant(coeff), *factors[:i], df, *factors[i + 1 :])))
     return _collect(parts, shifted)
-
-
-def _multiplies_back(f: Expr) -> bool:
-    """Whether multiplying the monomial factor ``f`` out again gives ``f`` back.
-
-    Not so for a sum, product or quotient that an exp merge left as a factor
-    (exp(ln(u)) is u): a product flattens into the others, a sum is
-    multiplied out, and a quotient's numerator joins the others.  Every
-    power is its own normal form (``_power`` marks it).  The product rule
-    multiplies the other factors out again, so the exponent shift keeps to
-    monomials without such factors.
-    """
-    return not (isinstance(f, (Sum, Product)) or _is_quotient(f))
 
 
 def _diff(e: Expr, v: str, inner=None) -> Expr:

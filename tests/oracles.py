@@ -600,9 +600,11 @@ class ReferenceTokenizer:
 def second_forms(e) -> list:
     """The subterms of a normalized ``e`` that another normal form would also
     denote: a quotient over a one-term denominator (it is a negative power),
-    a power of a quotient, product, sum or exp (each is rewritten), and a
+    a power of a quotient, product, sum or exp (each is rewritten), a
     product or sum with a quotient over a sum among its factors or terms
-    (the quotient takes them into its numerator)."""
+    (the quotient takes them into its numerator), a product with a sum or
+    product factor (it is multiplied out or flattened) and a sum with a sum
+    term (it is flattened)."""
     found, stack = [], [e]
     while stack:
         n = stack.pop()
@@ -616,7 +618,8 @@ def second_forms(e) -> list:
             stack.append(n.base)
         elif isinstance(n, (Product, Sum)):
             parts = n.factors if isinstance(n, Product) else n.terms
-            if any(isinstance(f, Quotient) and isinstance(f.denominator, Sum) for f in parts):
+            if any(isinstance(f, (Sum, type(n))) or isinstance(f, Quotient) and isinstance(f.denominator, Sum)
+                   for f in parts):
                 found.append(n)
             stack += parts
         elif isinstance(n, Function):

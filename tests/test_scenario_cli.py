@@ -563,3 +563,14 @@ class TestShippedFixtures:
         a = run_scenario(load_scenario(p), seed=1).to_json()
         b = run_scenario(load_scenario(p), seed=2).to_json()
         assert a != b  # witness-free runs still embed the policy seed
+
+
+def test_an_exp_merge_identity_is_a_proof(tmp_path):
+    # exp(ln(1+x)/2)^2 is 1 + x; multiplied out, the identity normalizes to
+    # 0, not to a rational nonzero that would FAIL without a witness
+    p = tmp_path / "merge.scn"
+    p.write_text('name: merge\ncharts: {M: [x]}\n'
+                 'checks: [{check: expr-zero, chart: M, '
+                 'expr: "exp(ln(1+x)/2)*exp(ln(1+x)/2) - 1 - x"}]\n')
+    (outcome,) = run_scenario(load_scenario(p)).outcomes
+    assert (outcome.result.verdict, outcome.result.mode) == (CheckVerdict.PASS, "symbolic")

@@ -555,6 +555,16 @@ class TestRankCertificate:
         assert L.elimination.pivots == {0: 1, 1: 2}
         assert [pivot for _, pivot, _ in L.elimination.steps] == [P(r2, "x"), ONE]
 
+    def test_an_exp_merge_zero_is_no_pivot(self, r2):
+        # exp(ln(1+y)/2)^2 is 1 + y, multiplied out, so the entry is 0
+        hidden = P(r2, "exp(ln(1+y)/2)*exp(ln(1+y)/2) - 1 - y")
+        assert hidden == ZERO
+        gens = (SectionTM(VectorField(r2, (hidden, P(r2, "x"))), DifferentialForm.zero(r2, 1)),
+                SectionTM(VectorField.zero(r2), coordinate_form(r2, "x")))
+        L = FrameSubbundle(Ambient.TM_TSTAR, r2, gens, 2)
+        assert L.elimination.pivots == {0: 1, 1: 2}
+        assert [pivot for _, pivot, _ in L.elimination.steps] == [P(r2, "x"), ONE]
+
 
 # -- the work shape: no float rank on certified frames, one elimination each ---
 
@@ -598,7 +608,9 @@ def test_the_form_checker_finds_second_forms(r2):
     assert second_forms(Quotient(ONE, y)) == [Quotient(ONE, y)]
     for base in (q, Product((x, y)), P(r2, "1 + y"), Exp(x)):
         assert second_forms(Sum((x, IntegerPower(base, 2)))) == [IntegerPower(base, 2)]
-    for form in (Product((q, q)), Product((y, q)), Sum((y, q))):
+    one_plus_y = P(r2, "1 + y")
+    for form in (Product((q, q)), Product((y, q)), Sum((y, q)), Product((x, one_plus_y)),
+                 Product((x, Product((x, y)))), Sum((x, one_plus_y))):
         assert second_forms(form) == [form]
     assert second_forms(P(r2, "(x/(1 + y))^2*y^-1 + exp(x)/(x + y)")) == []
 

@@ -44,7 +44,7 @@ from diracjacobi.symcalc import (
     substitute,
 )
 
-from oracles import ReferenceTokenizer, expr_fn, fd_partial, poly_product
+from oracles import ReferenceTokenizer, expr_fn, fd_partial, poly_product, second_forms
 
 XY = ("x", "y")
 XYT = ("x", "y", "t")
@@ -467,7 +467,8 @@ def test_a_sum_of_quotients_goes_over_one_denominator(text, want):
     assert render(parse(text, XY)) == want
 
 
-@pytest.mark.parametrize("text", ["x/0 - 1/0", "x/(y-y) - 1/(y-y)"])
+@pytest.mark.parametrize("text", ["x/0 - 1/0", "x/(y-y) - 1/(y-y)", "(x/0)^2*(x/0)^-2 - 1",
+                                  "(x/0)*(x/0)^-1 - 1"])
 def test_singular_quotients_over_zero_stay_apart(text):
     e = parse(text, XY)
     assert not is_structurally_zero(e)
@@ -510,6 +511,32 @@ def test_normalization_decides_every_rational_zero(e):
     sympy = pytest.importorskip("sympy")
     assume(not sympy_singular(e))
     assert is_structurally_zero(e) == (sympy.cancel(to_sympy(e)) == 0)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("exp(ln(1+x)/2)*y*exp(ln(1+x)/2)", "y + x*y"),
+        ("exp(ln(1+x)/2)*exp(ln(1+x)/2) - 1 - x", "0"),
+        ("(exp(ln(1+x)/2) + y)*(exp(ln(1+x)/2) - y)", "1 + x - y^2"),
+        ("exp(ln(x/(1+y)))*y", "x*y/(1 + y)"),
+        ("exp(ln(x*y))*exp(x)", "x*y*exp(x)"),
+    ],
+)
+def test_what_an_exp_merge_leaves_is_multiplied_out(text, want):
+    e = parse(text, XY)
+    assert render(e) == want and second_forms(e) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATIONAL, RATIONAL)
+def test_an_exp_merge_leaves_one_normal_form(u, b):
+    # exp(ln(u)/2)^2 is u, met within one monomial and across two sums
+    half = Exp(Product((Constant(Fraction(1, 2)), Ln(u))))
+    for e in (Product((b, half, half)), Product((Sum((b, half)), Sum((b, -half))))):
+        assert second_forms(normalize(e)) == []
+    assert is_structurally_zero(Product((b, half, half)) - Product((b, u)))
+    assert is_structurally_zero(Product((Sum((b, half)), Sum((b, -half)))) - (b * b - u))
 
 
 @settings(max_examples=150, deadline=None)
