@@ -28,7 +28,6 @@ from .chart_tensor import (  # noqa: F401
     lie_bracket,
     lie_derivative,
     pullback,
-    pushforward_at_point,
     sharp,
     wedge,
 )

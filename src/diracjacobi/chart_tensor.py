@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .symcalc import (
     MINUS_ONE,
     Expr,
@@ -72,9 +70,6 @@ class Chart:
             return self.coords.index(name)
         except ValueError:
             raise ChartError(f"chart '{self.name}' has no coordinate '{name}'") from None
-
-    def array_point(self, point: Mapping[str, float]) -> np.ndarray:
-        return np.array([float(point[c]) for c in self.coords], dtype=float)
 
     def dict_point(self, values: Sequence[float]) -> dict[str, float]:
         return {c: float(v) for c, v in zip(self.coords, values)}
@@ -156,9 +151,6 @@ class VectorField:
                 if not is_structurally_zero(df):
                     terms.append(_signed(sign, comp, df))
         return terms
-
-    def at(self, point: Mapping[str, float]) -> np.ndarray:
-        return np.array([float(evaluate(c, point)) for c in self.components], dtype=float)
 
     def scale(self, f: Expr | int) -> "VectorField":
         f = as_expr(f)
@@ -324,26 +316,6 @@ class _AlternatingTable:
 
     def at(self, point: Mapping[str, float]) -> dict[tuple[int, ...], float]:
         return {k: float(evaluate(v, point)) for k, v in self.entries}
-
-    def covector_at(self, point: Mapping[str, float]) -> np.ndarray:
-        if self.degree != 1:
-            raise ChartError("covector_at needs degree 1")
-        out = np.zeros(self.chart.dim)
-        for (i,), v in self.entries:
-            out[i] = float(evaluate(v, point))
-        return out
-
-    def matrix_at(self, point: Mapping[str, float]) -> np.ndarray:
-        """Full antisymmetric matrix W with W[i, j] = value on (e_i, e_j)."""
-        if self.degree != 2:
-            raise ChartError("matrix_at needs degree 2")
-        n = self.chart.dim
-        out = np.zeros((n, n))
-        for (i, j), v in self.entries:
-            val = float(evaluate(v, point))
-            out[i, j] = val
-            out[j, i] = -val
-        return out
 
 
 class DifferentialForm(_AlternatingTable):
@@ -524,15 +496,6 @@ class SmoothMap:
             name: float(evaluate(c, point)) for name, c in zip(self.target.coords, self.components)
         }
 
-    def jacobian_at(self, point: Mapping[str, float]) -> np.ndarray:
-        J = np.zeros((self.target.dim, self.source.dim))
-        for i, c in enumerate(self.components):
-            for j, name in enumerate(self.source.coords):
-                d = differentiate(c, name)
-                if not is_structurally_zero(d):
-                    J[i, j] = float(evaluate(d, point))
-        return J
-
 
 def identity_map(chart: Chart) -> SmoothMap:
     return SmoothMap(chart, chart, tuple(coord(c) for c in chart.coords))
@@ -556,13 +519,6 @@ def pullback(F: SmoothMap, omega: DifferentialForm) -> DifferentialForm:
         for k, c in term.entries:
             table.setdefault(k, []).append(_signed(1, pulled, c))
     return DifferentialForm(F.source, omega.degree, _totals(table))
-
-
-def pushforward_at_point(
-    F: SmoothMap, point: Mapping[str, float], v: Sequence[float]
-) -> np.ndarray:
-    """(dF)_p applied to the numeric tangent vector v."""
-    return F.jacobian_at(point) @ np.asarray(v, dtype=float)
 
 
 def sharp(Lam: Multivector, alpha: DifferentialForm) -> VectorField:

@@ -119,8 +119,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if ns.report is not None:
-        ns.report.parent.mkdir(parents=True, exist_ok=True)
-        ns.report.write_text(report.to_json())
+        try:
+            ns.report.parent.mkdir(parents=True, exist_ok=True)
+            ns.report.write_text(report.to_json())
+        except OSError as exc:
+            print(f"error: cannot write report '{ns.report}': {exc}", file=sys.stderr)
+            return 2
         print(f"report written to {ns.report}")
 
     return 0 if report.ok else 1

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .chart_tensor import (
     Chart,
     ChartError,
@@ -74,8 +72,10 @@ class SectionTM:
         """Fiber components (X components, xi components), 2n of them."""
         return [*self.X.components, *(self.xi.coefficient((i,)) for i in range(self.chart.dim))]
 
-    def at(self, point: Mapping[str, float]) -> np.ndarray:
+    def at(self, point: Mapping[str, float]):
         """The fiber vector of rows() in R^{2n}."""
+        import numpy as np
+
         return np.array([float(evaluate(r, point)) for r in self.rows()])
 
     def is_structurally_zero(self) -> bool:
@@ -126,8 +126,10 @@ class SectionE1:
         xi = [self.xi.coefficient((i,)) for i in range(self.chart.dim)]
         return [*self.X.components, self.f, *xi, self.g]
 
-    def at(self, point: Mapping[str, float]) -> np.ndarray:
+    def at(self, point: Mapping[str, float]):
         """The fiber vector of rows() in R^{2n+2}."""
+        import numpy as np
+
         return np.array([float(evaluate(r, point)) for r in self.rows()])
 
     def is_structurally_zero(self) -> bool:

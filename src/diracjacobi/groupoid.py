@@ -147,7 +147,8 @@ def locate_pair(
     gm: GroupoidModel, g: Mapping[str, float], h: Mapping[str, float], rng
 ) -> dict[str, float]:
     """The pair-chart point representing the composable pair (g, h); rng is unused."""
-    return gm.pair_chart.dict_point(gm.read_off(gm.total.array_point(g), gm.total.array_point(h)))
+    coords = gm.total.coords
+    return gm.pair_chart.dict_point(gm.read_off([g[c] for c in coords], [h[c] for c in coords]))
 
 
 def sample_fiber(

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .chart_tensor import (
     Chart,
     ChartError,
@@ -257,7 +255,11 @@ class FrameSubbundle:
         n = self.chart.dim
         return n if self.ambient is Ambient.TM_TSTAR else n + 1
 
-    def fiber_matrix_at(self, point: Mapping[str, float]) -> np.ndarray:
+    def fiber_matrix_at(self, point: Mapping[str, float]):
+        """The generators' fiber vectors at a float point, as columns.  No check
+        calls it; numpy, which it and the sections' ``at`` need, loads only here."""
+        import numpy as np
+
         cols = [g.at(point) for g in self.generators]
         return np.column_stack(cols) if cols else np.zeros((self.fiber_dim, 0))
 

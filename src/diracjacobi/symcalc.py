@@ -922,7 +922,8 @@ def render(e: Expr) -> str:
         sign, stripped = _strip_sign(e)
         if sign < 0:
             return f"-{_wrap(stripped, 3)}"
-        return "*".join(_wrap(f, 2) for f in e.factors)
+        # a quotient factor in parentheses: y*x/0 would parse as (y*x)/0
+        return "*".join(_wrap(f, 3 if isinstance(f, Quotient) else 2) for f in e.factors)
     if isinstance(e, Quotient):
         return f"{_wrap(e.numerator, 2)}/{_wrap(e.denominator, 3)}"
     if isinstance(e, IntegerPower):

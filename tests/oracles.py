@@ -16,6 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from diracjacobi.chart_tensor import (
+    ChartError,
     DifferentialForm,
     VectorField,
     coordinate_field,
@@ -57,6 +58,53 @@ def fd_partial(fn, point: dict, name: str, h: float = H) -> float:
 
 def expr_fn(e):
     return lambda point: float(evaluate(e, point))
+
+
+# Float values of the package's tensors and maps at a point.  jacobian_at uses
+# the package's symbolic derivatives, so these helpers feed the oracles below
+# but are no independent oracles themselves.
+
+
+def vector_at(X, point: dict) -> np.ndarray:
+    """The components of a vector field at a point."""
+    return np.array([float(evaluate(c, point)) for c in X.components], dtype=float)
+
+
+def covector_at(form, point: dict) -> np.ndarray:
+    if form.degree != 1:
+        raise ChartError("covector_at needs degree 1")
+    out = np.zeros(form.chart.dim)
+    for (i,), v in form.entries:
+        out[i] = float(evaluate(v, point))
+    return out
+
+
+def matrix_at(form, point: dict) -> np.ndarray:
+    """Full antisymmetric matrix W with W[i, j] = value on (e_i, e_j)."""
+    if form.degree != 2:
+        raise ChartError("matrix_at needs degree 2")
+    n = form.chart.dim
+    out = np.zeros((n, n))
+    for (i, j), v in form.entries:
+        val = float(evaluate(v, point))
+        out[i, j] = val
+        out[j, i] = -val
+    return out
+
+
+def jacobian_at(F, point: dict) -> np.ndarray:
+    J = np.zeros((F.target.dim, F.source.dim))
+    for i, c in enumerate(F.components):
+        for j, name in enumerate(F.source.coords):
+            d = differentiate(c, name)
+            if not is_structurally_zero(d):
+                J[i, j] = float(evaluate(d, point))
+    return J
+
+
+def pushforward_at_point(F, point: dict, v) -> np.ndarray:
+    """(dF)_p applied to the numeric tangent vector v."""
+    return jacobian_at(F, point) @ np.asarray(v, dtype=float)
 
 
 def fd_gradient(fn, point: dict, coords) -> np.ndarray:
@@ -134,7 +182,7 @@ def rk4_flow(field, point: dict, t: float, steps: int = 8) -> dict:
     h = t / steps
 
     def rhs(zv):
-        return field.at({c: v for c, v in zip(coords, zv)})
+        return vector_at(field, {c: v for c, v in zip(coords, zv)})
 
     for _ in range(steps):
         k1 = rhs(z)
@@ -178,8 +226,8 @@ def fd_courant_bracket(a, b, point: dict):
     chart = a.X.chart
     coords = chart.coords
     n = chart.dim
-    X1 = a.X.at(point)
-    X2 = b.X.at(point)
+    X1 = vector_at(a.X, point)
+    X2 = vector_at(b.X, point)
     x1fn = [expr_fn(c) for c in a.X.components]
     x2fn = [expr_fn(c) for c in b.X.components]
     xi1fn = [expr_fn(a.xi.coefficient((i,))) for i in range(n)]
@@ -231,8 +279,8 @@ def unit_kernel_dim(gm, forms, base_point) -> int:
     from diracjacobi.linalg import DEFAULT_RTOL, null_space
 
     g = gm.unit.evaluate(base_point)
-    rows = [f.matrix_at(g).T if f.degree == 2 else f.covector_at(g)[None, :] for f in forms]
-    rows += [gm.source.jacobian_at(g), gm.target.jacobian_at(g)]
+    rows = [matrix_at(f, g).T if f.degree == 2 else covector_at(f, g)[None, :] for f in forms]
+    rows += [jacobian_at(gm.source, g), jacobian_at(gm.target, g)]
     return null_space(np.vstack(rows), DEFAULT_RTOL).shape[1]
 
 
@@ -255,7 +303,7 @@ def cocycle_at_points(L, values, points, tol: float = 1e-7) -> bool:
         B = L.fiber_matrix_at(p)
         for i in range(k):
             for j in range(i + 1, k):
-                Xi, Xj = L.generators[i].X.at(p), L.generators[j].X.at(p)
+                Xi, Xj = vector_at(L.generators[i].X, p), vector_at(L.generators[j].X, p)
                 lhs = Xi @ grads[j] - Xj @ grads[i]
                 coeffs, resid = least_squares_coefficients(B, brackets[(i, j)].at(p))
                 if resid > tol:
@@ -280,7 +328,7 @@ def forward_map_at_points(F, L_src, L_dst, policy, anti=False, name="forward-map
     m, n = F.source.dim, F.target.dim
     e1 = L_src.ambient is Ambient.E1
     for p in policy.float_points(F.source.coords, f"{name}:points"):
-        J = F.jacobian_at(p)
+        J = jacobian_at(F, p)
         Q = orthonormal_columns(L_src.fiber_matrix_at(p), DEFAULT_RTOL)
         perp = np.eye(Q.shape[0]) - Q @ Q.T
         if e1:
@@ -331,9 +379,9 @@ def extraction_at_points(gm, pd, policy, expected=None, fiber_samples=5,
     for y in policy.float_points(gm.base.coords, f"{name}:base", min(policy.count, 20)):
         collected = []
         for g in sample_fiber(gm.target, y, rng, policy.box, fiber_samples):
-            W = deta.matrix_at(g)  # W[i, j] = d eta(e_i, e_j)
-            eta_vec = pd.eta.covector_at(g)
-            Jb = gm.target.jacobian_at(g)
+            W = matrix_at(deta, g)  # W[i, j] = d eta(e_i, e_j)
+            eta_vec = covector_at(pd.eta, g)
+            Jb = jacobian_at(gm.target, g)
             rows = np.zeros((N + 1, N + n + 2))
             # rows j: sum_m Jb[m, j] xi_m - sum_i W[i, j] X_i - eta_j F = 0
             rows[:N, :N] = -W.T

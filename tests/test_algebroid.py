@@ -48,7 +48,7 @@ from diracjacobi.structures import (
     lift_dirac,
 )
 from diracjacobi.symcalc import Exp, ONE, ZERO, coord, is_structurally_zero, normalize, parse
-from oracles import chained_action_anchor, chained_action_bracket, chained_psi
+from oracles import chained_action_anchor, chained_action_bracket, chained_psi, vector_at
 
 
 def P(chart, text):
@@ -201,9 +201,9 @@ class TestAnchorAndJacobi:
                     coeffs, resid = least_squares_coefficients(B, value.at(p))
                     assert resid < 1e-9
                     anchored = sum(
-                        c * L.generators[m].X.at(p) for m, c in enumerate(coeffs)
+                        c * vector_at(L.generators[m].X, p) for m, c in enumerate(coeffs)
                     )
-                    assert np.allclose(anchored, lieb.at(p), atol=1e-8)
+                    assert np.allclose(anchored, vector_at(lieb, p), atol=1e-8)
 
     def test_jacobi_identity_of_restricted_bracket(self, r3, policy):
         # the skew-bracket Jacobiator vanishes identically on sections of a

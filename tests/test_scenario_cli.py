@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -463,6 +464,13 @@ checks:
         data = json.loads(report_path.read_text())
         assert data["summary"]["unexpected"] == 0
 
+    @pytest.mark.parametrize("target", [".", "taken/r.json"])
+    def test_unwritable_report_exits_2(self, tiny, tmp_path, capsys, target):
+        # a directory, and a path under a file
+        (tmp_path / "taken").write_text("")
+        assert main(["run", str(tiny), "--report", str(tmp_path / target)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+
     def test_only_flag(self, tiny, capsys):
         assert main(["run", str(tiny), "--only", "iso"]) == 0
         out = capsys.readouterr().out
@@ -475,6 +483,25 @@ checks:
             text=True,
         )
         assert r.returncode == 0 and "--list-checks" in r.stdout
+
+
+NO_NUMPY = """
+import contextlib, io, sys
+from diracjacobi import cli
+for name in cli.fixture_names():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", name]) == 0, name
+assert "numpy" not in sys.modules
+"""
+
+
+def test_no_fixture_run_loads_numpy():
+    # numpy serves only the float helpers the tests keep as oracles, so no
+    # import of the package and no shipped scenario through the CLI loads it
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+    assert r.returncode == 0, r.stderr
 
 
 COCYCLE_VALUES = """

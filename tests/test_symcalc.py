@@ -546,6 +546,14 @@ def test_rational_render_parse_roundtrip(e):
     assert parse(render(n), XYT) == n
 
 
+@pytest.mark.parametrize("text", ["y*(x/0)", "x/(1/(y-y))"])
+def test_a_quotient_over_zero_renders_back_to_itself(text):
+    # a singular quotient stays a factor of its product; rendered bare it
+    # would read as the quotient of the whole product
+    n = parse(text, XY)
+    assert parse(render(n), XY) == n
+
+
 @pytest.mark.parametrize(
     "text, want",
     [
