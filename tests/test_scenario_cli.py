@@ -28,6 +28,9 @@ from diracjacobi.scenario import (
     run_scenario,
 )
 
+# the committed fixture reports, at each fixture's own seed and at --seed 1
+REPORTS = Path(__file__).parent / "reports"
+
 GOOD = """
 name: tiny
 seed: 3
@@ -584,6 +587,24 @@ class TestShippedFixtures:
                 modes[(name, o.result.name)] = o.result.mode
         assert len(modes) == 89
         assert {key for key, mode in modes.items() if mode != "symbolic"} == unproven
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_reports_match_the_committed_corpus(self, name, seed, tmp_path, capsys):
+        # every shipped fixture sets seed 7; the corpus holds its report at
+        # that seed and at --seed 1, and a report that moves shows here
+        stem = name if seed is None else f"{name}.seed{seed}"
+        args = ["run", name] + ([] if seed is None else ["--seed", str(seed)])
+        path = tmp_path / f"{stem}.json"
+        assert main([*args, "--report", str(path)]) in (0, 1)
+        capsys.readouterr()
+        tool_version = re.compile(r'^(    "version": )"[^"\n]*"', re.M)
+        new, old = (tool_version.sub(r'\1"*"', p.read_text(), count=1)
+                    for p in (path, REPORTS / f"{stem}.json"))
+        assert new == old, (
+            f"the {name} report moved; to take the new bytes, run\n"
+            f"  PYTHONPATH=src python -m diracjacobi.cli {' '.join(args)} "
+            f"--report tests/reports/{stem}.json")
 
     def test_seed_changes_report(self):
         p = resolve_scenario_path("precontact_line")
