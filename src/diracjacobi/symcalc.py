@@ -2,22 +2,22 @@
 
 The expression language is deliberately small: exact rational constants,
 coordinates, sums, products, quotients, integer powers, and the elementary
-functions exp, ln, sin, cos (one ``Function`` node family).  Normalization
-is structural (flatten, fold constants, collect identical monomials, merge
-exponentials, multiply out the u an exp merge leaves when exp(ln(u)) is u)
-and gives every value one rational form: a numerator free of quotients over
-at most one sum, found as ``sympy.together`` finds it, with no gcd
-taken.  The numerator is multiplied out in full, one sum at a time, with
-equal monomials collected as they form, so a rational expression is zero
-exactly when it normalizes to 0.  Inside one product every monomial is a
-packed exponent key: its atoms are indexed once and their exponents are the
-signed digits of one int, so a pair of terms multiplies by one int
-addition.  A monomial is differentiated by shifting the exponent of the
-coordinate; only the other atoms take the product rule.  Work that belongs
-to an immutable node is done once and kept on it: its hash, its sort key,
-its free coordinates, the mark that it is normal, and its derivative by
-each coordinate.  Sampling decides only a zero test with a transcendental
-node, in floats; at exact rational points it only looks for a witness.
+functions exp, ln, sin, cos (one ``Function`` node family).  ``Expr`` trees
+are parsed, stored, rendered, differentiated and evaluated; normalization
+computes on pairs.  A value is one pair (numerator, denominator) of
+polynomials {monomial: coefficient}: a monomial is the sorted tuple of its
+shared factor nodes, and the denominator is None or one sum, as
+``sympy.together`` finds it, with no gcd taken.  Sums, products, quotients,
+powers and exp merges are arithmetic on pairs, and one ``Expr`` is built per
+normalized value; a rational expression is zero exactly when it normalizes
+to 0.  Inside one product every monomial is a packed exponent key, one int
+whose signed digits are the exponents of its indexed atoms.  A monomial is
+differentiated by shifting the exponent of the coordinate.  Work that belongs
+to an immutable node is kept on it: its hash, sort key, free coordinates,
+pair, normal mark and derivative by each coordinate.  A quotient over 0 is a
+singular factor, which a zero factor does not swallow.  Sampling decides only
+a zero test with a transcendental node, in floats; at exact rational points
+it only looks for a witness.
 """
 
 from __future__ import annotations
@@ -293,8 +293,6 @@ def _sort_key_impl(e: Expr):
     raise TypeError(f"unknown node {e!r}")
 
 
-_UNIT = Fraction(1)
-
 # shared atoms: one live node per coefficient and per power, so the terms of
 # a multiplied-out polynomial share their leaves instead of copying them
 _CONSTANTS: "weakref.WeakValueDictionary[Fraction, Constant]" = weakref.WeakValueDictionary()
@@ -324,49 +322,14 @@ def _power(base: Expr, n: int) -> Expr:
 
 
 def _split_term(t: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
-    """Split a normalized term into (rational coefficient, monomial factors)."""
+    """Split a term into (rational coefficient, monomial factors)."""
     if isinstance(t, Constant):
         return t.value, ()
     if isinstance(t, Product):
         if t.factors and isinstance(t.factors[0], Constant):
             return t.factors[0].value, t.factors[1:]
-        return _UNIT, t.factors
-    return _UNIT, (t,)
-
-
-def _ratio(num: Expr, den: Expr) -> Fraction | None:
-    """c when the normalized ``num`` is c times the normalized ``den``, else None."""
-    nums, dens = ([_split_term(t) for t in (e.terms if isinstance(e, Sum) else (e,))]
-                  for e in (num, den))
-    if len(nums) != len(dens):
-        return None
-    by_factors = {factors: c for c, factors in dens}
-    ratios = {c / by_factors[f] if f in by_factors else None for c, f in nums}
-    return ratios.pop() if len(ratios) == 1 else None
-
-
-def _make_term(coeff: int | Fraction, factors: tuple[Expr, ...]) -> Expr:
-    # inputs are normalized and sorted, so the rebuilt node is normal too
-    if coeff == 0:
-        return ZERO
-    if not factors:
-        return _constant(coeff)
-    if coeff == 1:
-        if len(factors) == 1:
-            return factors[0]
-        return _mark(Product(factors))
-    return _mark(Product((_constant(coeff),) + factors))
-
-
-def _sum_of_terms(buckets: Mapping[tuple[Expr, ...], int | Fraction]) -> Expr:
-    """The normal form of the sum of coeff * monomial over ``buckets``."""
-    terms = [_make_term(c, f) for f, c in buckets.items() if c != 0]
-    if not terms:
-        return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    terms.sort(key=_sort_key)
-    return Sum(tuple(terms))
+        return Fraction(1), t.factors
+    return Fraction(1), (t,)
 
 
 def _exact(q: Fraction) -> int | Fraction:
@@ -379,72 +342,275 @@ def _base_exponent(f: Expr) -> tuple[Expr, int]:
     return (f.base, f.exponent) if isinstance(f, IntegerPower) else (f, 1)
 
 
-def _multiplies_back(f: Expr) -> bool:
-    """Whether ``f`` is a monomial factor in its own right: an exp merge can
-    leave a sum, product or quotient (exp(ln(u)) is u), which is not."""
-    return not (isinstance(f, (Sum, Product)) or _is_quotient(f))
+def _merge_leftover(f: Expr) -> bool:
+    """Whether the monomial factor ``f`` is, or is a power of, what an exp
+    merge left (exp(ln(u)) is u) to be multiplied out: a sum, a product or a
+    quotient over a sum."""
+    base = _base_exponent(f)[0]
+    return isinstance(base, (Sum, Product)) or isinstance(base, Quotient) and base.denominator != ZERO
 
 
-def _monomial(factors: Iterable[Expr]) -> tuple[int | Fraction, tuple[Expr, ...], bool]:
-    """Multiply normalized factors that are not sums into (coefficient,
-    monomial, whether a factor must still be multiplied out).
+def _mark(e: Expr) -> Expr:
+    """Tag a node as fully normalized (identity-based, immutable trees)."""
+    object.__setattr__(e, "_norm", True)
+    return e
 
-    Constants fold into the coefficient, exp factors merge into one, repeated
-    bases combine into integer powers, and the factors come out sorted.
-    """
-    coeff: int | Fraction = 1
-    exp_args: list[Expr] = []
-    plain: list[Expr] = []
-    for f in factors:
-        if isinstance(f, Constant):
-            coeff *= _exact(f.value)
-        elif isinstance(f, Exp):
-            exp_args.append(f.arg)
+
+# A value normalizes as a pair (numerator, denominator) of polynomials
+# {monomial: coefficient}: a monomial is the sorted tuple of its shared factor
+# nodes and a coefficient a nonzero int or Fraction.  The denominator is None
+# or a sum of two or more terms.  A quotient over 0 is a factor node.
+Pair = tuple[dict, Union[dict, None]]
+
+
+def normalize(e: Expr) -> Expr:
+    if isinstance(e, (Constant, Coordinate)) or e.__dict__.get("_norm", False):
+        return e
+    return _expr(*_pair(e))
+
+
+def _expr(num: dict, den: dict | None = None) -> Expr:
+    """The normal node of num/den, marked normal, its pair kept on it: each
+    term's coefficient comes first, and the terms are in ``_sort_key`` order."""
+    terms = [_constant(c) if not fs else fs[0] if c == 1 and len(fs) == 1
+             else _mark(Product(fs if c == 1 else (_constant(c), *fs))) for fs, c in num.items()]
+    if len(terms) > 1:
+        terms.sort(key=_sort_key)
+        e = Sum(tuple(terms))
+        e.__dict__["_p"] = (num, None)
+    else:
+        e = terms[0] if terms else ZERO
+    if den is not None:
+        e = Quotient(e, _expr(den))
+        e.__dict__["_p"] = (num, den)
+    return _mark(e)
+
+
+def _pair(e: Expr) -> Pair:
+    """The pair of ``e``: kept on a normalized sum or quotient, read off a
+    normalized term, and computed for a raw node."""
+    p = e.__dict__.get("_p")
+    if p is not None:
+        return p
+    if isinstance(e, Sum):  # a raw sum's terms join it, so their quotients share denominators
+        parts, todo = [], list(e.terms)
+        for t in todo:
+            if isinstance(t, Sum) and not t.__dict__.get("_norm", False):
+                todo.extend(t.terms)
+            else:
+                parts.append(_pair(t))
+        return _add(parts)
+    if isinstance(e, (Constant, Coordinate)) or e.__dict__.get("_norm", False):
+        c, fs = _split_term(e)
+        return ({fs: _exact(c)} if c else {}), None
+    if isinstance(e, Product):
+        return _mul([_pair(f) for f in e.factors])
+    if isinstance(e, Quotient):
+        return _over(_pair(e.numerator), _pair(e.denominator))
+    if isinstance(e, IntegerPower):
+        return _raise(_pair(e.base), e.exponent)
+    return _function(e)
+
+
+def _add(values: Iterable[Pair]) -> Pair:
+    """The sum.  The quotients collect by denominator, and a sum of quotients
+    goes over the product of its distinct denominators, each numerator times
+    the others, as ``sympy.together`` finds it, with no gcd taken."""
+    buckets: dict = {}
+    over: dict[frozenset, tuple[dict, list[dict]]] = {}  # denominator -> its numerators
+    for num, den in values:
+        if den is None:
+            for fs, c in num.items():
+                buckets[fs] = buckets.get(fs, 0) + c
         else:
-            plain.append(f)
+            over.setdefault(frozenset(den.items()), (den, []))[1].append(num)
+    poly = {fs: c for fs, c in buckets.items() if c != 0}
+    quotients = [(den, ns[0] if len(ns) == 1 else _add((n, None) for n in ns)[0])
+                 for den, ns in over.values()]
+    dens = [(den, None) for den, num in quotients if num]
+    if not dens:
+        return poly, None
+    parts = [_mul([(num, None), *(d for d in dens if d[0] is not den)]) for den, num in quotients if num]
+    if poly:
+        parts.append(_mul([(poly, None), *dens]))
+    return _over(_add(parts), _mul(dens))
+
+
+def _mul(values: Sequence[Pair]) -> Pair:
+    """The product: its numerators multiplied out over the product of its
+    denominators.  A zero factor does not swallow a singular one, a factor
+    that holds a quotient over 0: their product is the singular 0/0."""
+    coeff: int | Fraction = 1
+    factors: list[Expr] = []
+    sums: list[dict] = []
+    dens: list[dict] = []
+    for num, den in values:
+        if len(num) == 1:
+            ((fs, c),) = num.items()
+            coeff *= c
+            factors += fs
+        elif num:
+            sums.append(num)
+        else:
+            coeff = 0
+        if den is not None:
+            dens.append(den)
     if coeff == 0:
-        return 0, (), False
+        return _over(({}, None), ({}, None)) if any(map(_singular, values)) else ({}, None)
+    num = _multiply(coeff, factors, sums)
+    return _over(num, _multiply(1, [], dens)) if dens else num
+
+
+def _singular(p: Pair) -> bool:
+    """Whether a factor of ``p`` holds a quotient over 0: ``p`` has no value."""
+    return any(map(_over_zero, {f for poly in p if poly for fs in poly for f in fs}))
+
+
+def _over_zero(e: Expr) -> bool:
+    return isinstance(e, Quotient) and e.denominator == ZERO or any(map(_over_zero, _children(e)))
+
+
+def _over(num: Pair, den: Pair) -> Pair:
+    """num/den.  Only a sum stays under a quotient, under a numerator free of
+    quotients: a one-term denominator is inverted in place, a quotient on
+    either side is multiplied through, and a numerator c times the
+    denominator is the constant c.  A quotient over 0 is singular and stays
+    whole, a monomial factor of its own."""
+    (n, m), (d, e) = num, den
+    if not d:
+        return {(_mark(Quotient(_expr(n, m), ZERO)),): 1}, None
+    if e is not None:
+        return _mul([num, _over((e, None), (d, None))])
+    if len(d) == 1 or m is not None:
+        return _mul([num, _raise(den, -1)])
+    if not n:
+        return _over(num, ({}, None)) if _singular(den) else num
+    ratio = _ratio(n, d)
+    return (n, d) if ratio is None else ({(): ratio}, None)
+
+
+def _ratio(num: dict, den: dict) -> int | Fraction | None:
+    """c when the polynomial ``num`` is c times ``den``, else None."""
+    if len(num) != len(den):
+        return None
+    ratios = {Fraction(c) / den[fs] if fs in den else None for fs, c in num.items()}
+    ratio = ratios.pop() if len(ratios) == 1 else None
+    return None if ratio is None else _exact(ratio)
+
+
+def _raise(p: Pair, n: int) -> Pair:
+    """p^n.  A monomial is raised factor by factor, and 0^-n is 1/0; a sum or
+    quotient is multiplied out, a negative power as 1 over the positive one."""
+    num, den = p
+    if n == 0:
+        return {(): 1}, None
+    if n == 1:
+        return p
+    if den is not None or len(num) > 1:
+        power = _mul([p] * abs(n))
+        return power if n > 0 else _over(({(): 1}, None), power)
+    if not num:
+        return _over(({(): 1}, None), p) if n < 0 else p
+    ((fs, c),) = num.items()
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(n) * math.log10(max(abs(c.numerator), c.denominator)) >= limit:
+        raise ExprError(f"a constant to the power {n} has more than {limit} digits")
+    return _mul([({(): _exact(Fraction(c) ** n)}, None), *(_factor_power(f, n) for f in fs)])
+
+
+def _factor_power(f: Expr, n: int) -> Pair:
+    """f^n for a monomial factor ``f``.  A negative power of a quotient over
+    0, N/0, is a power of (1/N)/0, so no power of N/0 cancels it."""
+    if isinstance(f, Exp):
+        return _pair(Exp(Product((Constant(Fraction(n)), f.arg))))
+    base, k = _base_exponent(f)
+    if isinstance(base, Quotient) and k * n < 0:
+        return _raise(_pair(Quotient(IntegerPower(base.numerator, -1), ZERO)), -k * n)
+    return {(base if k * n == 1 else _power(base, k * n),): 1}, None
+
+
+def _function(e: Function) -> Pair:
+    """exp(0) is 1, ln(1) is 0, and exp(ln(u)) and ln(exp(u)) are u; sin is
+    odd and cos even."""
+    arg = normalize(e.arg)
+    if isinstance(e, Exp):
+        if arg == ZERO:
+            return {(): 1}, None
+        return _pair(arg.arg) if isinstance(arg, Ln) else ({(_mark(Exp(arg)),): 1}, None)
+    if isinstance(e, Ln):
+        if arg == ONE:
+            return {}, None
+        return _pair(arg.arg) if isinstance(arg, Exp) else ({(_mark(Ln(arg)),): 1}, None)
+    if isinstance(e, Sin):
+        if arg == ZERO:
+            return {}, None
+        sign, stripped = _strip_sign(arg)
+        return {(_mark(Sin(stripped)),): sign}, None
+    if isinstance(e, Cos):  # a leading minus sign of the argument drops
+        return ({(): 1} if arg == ZERO else {(_mark(Cos(_strip_sign(arg)[1])),): 1}), None
+    raise TypeError(f"unknown node {e!r}")
+
+
+def _monomial(coeff: int | Fraction, factors: Iterable[Expr]) -> tuple[int | Fraction, tuple, bool]:
+    """coeff times monomial factors, as (coefficient, sorted monomial, whether
+    an exp merge left a factor to multiply out).  The exp factors merge into
+    one, and repeated bases combine into integer powers."""
+    exps: list[Expr] = []
+    powers: dict[Expr, int] = {}
+    for f in factors:
+        if isinstance(f, Exp):
+            exps.append(f)
+        else:
+            base, n = _base_exponent(f)
+            powers[base] = powers.get(base, 0) + n
     left = False
-    if exp_args:
-        merged = normalize(Exp(normalize(Sum(tuple(exp_args)))))
+    if len(exps) > 1:
+        merged = normalize(Exp(normalize(Sum(tuple(f.arg for f in exps)))))
+        exps = [merged] if isinstance(merged, Exp) else []
         if isinstance(merged, Constant):
             coeff *= _exact(merged.value)
-        else:
-            plain.append(merged)
-            left = not _multiplies_back(merged)
-
-    powers: dict[Expr, int] = {}
-    for f in plain:
-        base, n = _base_exponent(f)
-        powers[base] = powers.get(base, 0) + n
-    out = [base if n == 1 else _power(base, n) for base, n in powers.items() if n != 0]
+        elif not exps:
+            base, n = _base_exponent(merged)
+            powers[base] = powers.get(base, 0) + n
+            left = _merge_leftover(merged)
+    out = [base if n == 1 else _power(base, n) for base, n in powers.items() if n != 0] + exps
     if len(out) > 1:
         out.sort(key=_sort_key)
     return coeff, tuple(out), left
 
 
-def _multiply(factors: Sequence[Expr]) -> tuple[dict[tuple[Expr, ...], int | Fraction], bool]:
-    """Multiply normalized factors out in full, one pass per sum factor.
+def _multiply(coeff: int | Fraction, factors: Sequence[Expr], sums: Sequence[dict]) -> Pair:
+    """coeff times monomial factors times polynomials, multiplied out in
+    full.  Where an exp merge left a factor u to multiply out, each monomial
+    is multiplied again with u's pair in place of u."""
+    coeff, mono, left = _monomial(coeff, factors)
+    if coeff == 0:  # exp(ln(0)) is 0
+        return _mul([({}, None), ({mono: 1}, None), *((s, None) for s in sums)])
+    if not sums or not mono and len(sums) == 1:
+        buckets = {fs: coeff * c for fs, c in sums[0].items()} if sums else {mono: coeff}
+    else:
+        buckets, left = _packed(coeff, mono, left, sums)
+    if not left:
+        return buckets, None
+    return _add(_mul([({tuple(f for f in fs if not _merge_leftover(f)): c}, None),
+                      *(_raise(_pair(b), n) for b, n in map(_base_exponent, fs) if _merge_leftover(b))])
+                for fs, c in buckets.items())
 
-    The result is {monomial factors: coefficient} and whether an exp merge
-    left a factor that is not a monomial factor in its own right.
 
-    Every term of the factors is split once into its coefficient, its exp
-    factor (a normalized monomial holds at most one) and its other factors
-    as (base, exponent) pairs.  The bases are indexed, and a term's exponents
-    become the signed digits of one int, each slot wide enough for the sum of
-    the largest exponents, so no slot can overflow into the next.  The
-    monomials formed so far sit in a dict per exp factor; each sum factor
-    multiplies every one of them by every one of its terms with one int
-    addition, and equal monomials collect as they form.  Two exp factors
-    merge once per pair of them; a merge that leaves no exp (exp(ln(u)) is
-    u) adds its own exponents to the key.
+def _packed(coeff: int | Fraction, mono: tuple, left: bool, sums: Sequence[dict]) -> tuple[dict, bool]:
+    """coeff * mono times the polynomials ``sums``, one pass per polynomial,
+    and whether an exp merge left a factor to multiply out.
+
+    Every term is split once into its coefficient, its exp factor (a monomial
+    holds at most one) and its other factors as (base, exponent) pairs.  The
+    bases are indexed, and a term's exponents become the signed digits of one
+    int, each slot wide enough for the sum of the largest exponents, so no
+    slot can overflow into the next.  The monomials formed so far sit in a
+    dict per exp factor; each pass multiplies every one of them by every term
+    with one int addition, and equal monomials collect as they form.  Two exp
+    factors merge once per pair of them; a merge that leaves no exp
+    (exp(ln(u)) is u) adds u's exponents to the key.
     """
-    coeff, mono, left = _monomial(f for f in factors if not isinstance(f, Sum))
-    sums = [f for f in factors if isinstance(f, Sum)]
-    if not sums or coeff == 0:
-        return ({mono: coeff} if coeff != 0 else {}), left
-
     slots: dict[Expr, int] = {}  # base -> slot
     exps: dict[Expr, int] = {}  # exp factor -> id; id 0 is no exp factor
 
@@ -458,9 +624,7 @@ def _multiply(factors: Sequence[Expr]) -> tuple[dict[tuple[Expr, ...], int | Fra
                 powers.append((slots.setdefault(base, len(slots)), n))
         return c, powers, eid
 
-    rows = [[split(coeff, mono)]] + [
-        [split(_exact(c), f) for c, f in map(_split_term, s.terms)] for s in sums
-    ]
+    rows = [[split(coeff, mono)]] + [[split(c, fs) for fs, c in s.items()] for s in sums]
     exp_nodes = [None, *exps]
 
     def merge(ea: int, eb: int) -> tuple[int | Fraction, int, list[tuple[int, int]]]:
@@ -478,7 +642,7 @@ def _multiply(factors: Sequence[Expr]) -> tuple[dict[tuple[Expr, ...], int | Fra
                 exps[merged] = len(exp_nodes)
                 exp_nodes.append(merged)
             return 1, exps[merged], []
-        left = left or not _multiplies_back(merged)
+        left = left or _merge_leftover(merged)
         base, n = _base_exponent(merged)
         return 1, 0, [(slots.setdefault(base, len(slots)), n)]
 
@@ -554,173 +718,10 @@ def _strip_sign(e: Expr) -> tuple[int, Expr]:
     """Pull a leading negative rational coefficient out of a normalized node."""
     coeff, factors = _split_term(e)
     if coeff < 0:
-        return -1, _make_term(-coeff, factors)
+        return -1, _expr({factors: -coeff})
     return 1, e
 
 
-def _mark(e: Expr) -> Expr:
-    """Tag a node as fully normalized (identity-based, immutable trees)."""
-    object.__setattr__(e, "_norm", True)
-    return e
-
-
-def normalize(e: Expr) -> Expr:
-    if isinstance(e, (Constant, Coordinate)):
-        return e
-    if e.__dict__.get("_norm", False):
-        return e
-    return _mark(_normalize(e))
-
-
-def _is_quotient(e: Expr) -> bool:
-    """Whether ``e`` is a quotient over a sum, not a singular one over 0."""
-    return isinstance(e, Quotient) and isinstance(e.denominator, Sum)
-
-
-def _product(e: Product) -> dict[tuple[Expr, ...], int | Fraction] | Expr:
-    """A product multiplied out: {monomial: coefficient} when no factor is a
-    quotient, else the product of the numerators over that of the denominators."""
-    raw: list[Expr] = []
-    dens: list[Expr] = []
-
-    def flatten(factor: Expr) -> None:
-        if isinstance(factor, Product):
-            for f in factor.factors:
-                flatten(f)
-        elif _is_quotient(factor):
-            flatten(factor.numerator)
-            dens.append(factor.denominator)
-        else:
-            raw.append(factor)
-
-    for f in e.factors:
-        flatten(normalize(f))
-    if dens:
-        return normalize(Quotient(Product(tuple(raw)), Product(tuple(dens))))
-    buckets, left = _multiply(raw)
-    if not left:
-        return buckets
-    # each factor normalized afresh: a sum, product or quotient is multiplied out
-    return _collect([Product((_constant(c), *(IntegerPower(*_base_exponent(f)) for f in fs)))
-                     for fs, c in buckets.items()])
-
-
-def _over(num: Expr, den: Expr) -> Expr:
-    """num/den for normalized num and den.  Only a sum stays under a quotient,
-    under a numerator free of quotients: a one-term denominator becomes the
-    negative powers of its factors, a quotient on either side is multiplied
-    through, and a numerator c times the denominator is the constant c."""
-    if den == ZERO:
-        return Quotient(num, den)  # singular; evaluation will report it
-    if _is_quotient(den):
-        return normalize(Product((num, Quotient(den.denominator, den.numerator))))
-    if not isinstance(den, Sum) or _is_quotient(num):
-        return normalize(Product((num, IntegerPower(den, -1))))
-    if num == ZERO:
-        return ZERO
-    ratio = _ratio(num, den)
-    return Quotient(num, den) if ratio is None else _constant(ratio)
-
-
-def _collect(parts: Iterable[Expr], buckets: dict | None = None) -> Expr:
-    """The normal form of the sum of ``parts`` and of the quotient-free terms
-    in ``buckets`` ({monomial: coefficient}).  A raw product among the parts
-    is multiplied out straight into the buckets and a raw sum's terms join the
-    parts.  The quotients collect by denominator, and a sum of quotients goes
-    over the product of its distinct denominators, each numerator times the
-    others."""
-    buckets = {} if buckets is None else buckets
-    over: dict[Expr, list[Expr]] = {}  # denominator -> its numerators
-    todo = list(parts)
-    for p in todo:
-        if not p.__dict__.get("_norm", False):
-            if isinstance(p, Sum):
-                todo.extend(p.terms)
-                continue
-            p = _product(p) if isinstance(p, Product) else normalize(p)
-            if isinstance(p, dict):
-                for fs, c in p.items():
-                    buckets[fs] = buckets.get(fs, 0) + c
-                continue
-        if _is_quotient(p):
-            over.setdefault(p.denominator, []).append(p.numerator)
-        else:
-            for c, fs in map(_split_term, p.terms if isinstance(p, Sum) else (p,)):
-                buckets[fs] = buckets.get(fs, 0) + _exact(c)
-    nums = {den: num for den, ns in over.items()
-            if (num := ns[0] if len(ns) == 1 else _collect(ns)) != ZERO}
-    if not nums:
-        return _sum_of_terms(buckets)
-    dens = sorted(nums, key=_sort_key)
-    nums[ONE] = _sum_of_terms(buckets)
-    num = _collect([Product((n, *(d for d in dens if d is not den))) for den, n in nums.items()])
-    return _over(num, normalize(Product(tuple(dens))))
-
-
-def _normalize(e: Expr) -> Expr:
-    """One normal form per rational value: a numerator free of quotients, over
-    at most one sum.  Products of sums are multiplied out into sorted
-    monomials.  A sum of quotients goes over the product of its distinct
-    denominators, a product multiplies its numerators and its denominators,
-    and a one-term denominator becomes the negative powers of its factors.  A
-    power of a product or exp is taken factor by factor, and a power of a
-    sum or quotient is multiplied out, a negative one as 1 over the positive
-    one.  A quotient over 0 is singular and stays whole, as a factor; a
-    negative power of N/0 is a power of (1/N)/0, so no power of N/0 cancels it."""
-    if isinstance(e, Sum):
-        return _collect(e.terms)
-
-    if isinstance(e, Product):
-        p = _product(e)
-        return _sum_of_terms(p) if isinstance(p, dict) else p
-
-    if isinstance(e, Quotient):
-        return _over(normalize(e.numerator), normalize(e.denominator))
-
-    if isinstance(e, IntegerPower):
-        base = normalize(e.base)
-        n = e.exponent
-        if n == 0:
-            return ONE
-        if n == 1:
-            return base
-        if isinstance(base, Constant):
-            if base.value == 0 and n < 0:
-                return IntegerPower(base, n)  # singular literal
-            limit, v = sys.get_int_max_str_digits(), base.value
-            if limit and abs(n) * math.log10(max(abs(v.numerator), v.denominator)) >= limit:
-                raise ExprError(f"a constant to the power {n} has more than {limit} digits")
-            return Constant(v**n)
-        if isinstance(base, IntegerPower):
-            return normalize(IntegerPower(base.base, base.exponent * n))
-        if isinstance(base, Product):
-            return normalize(Product(tuple(IntegerPower(f, n) for f in base.factors)))
-        if isinstance(base, Exp):
-            return normalize(Exp(Product((Constant(Fraction(n)), base.arg))))
-        if isinstance(base, Sum) or _is_quotient(base):
-            power = normalize(Product((base,) * abs(n)))
-            return power if n > 0 else _over(ONE, power)
-        if isinstance(base, Quotient) and n < 0:  # over 0: a power of N/0 never cancels (1/N)/0
-            return normalize(IntegerPower(Quotient(IntegerPower(base.numerator, -1), base.denominator), -n))
-        return _power(base, n)
-
-    arg = normalize(e.arg)  # every other node is a Function
-    if isinstance(e, Exp):
-        if arg == ZERO:
-            return ONE
-        return arg.arg if isinstance(arg, Ln) else Exp(arg)
-    if isinstance(e, Ln):
-        if arg == ONE:
-            return ZERO
-        return arg.arg if isinstance(arg, Exp) else Ln(arg)
-    if isinstance(e, Sin):
-        if arg == ZERO:
-            return ZERO
-        sign, stripped = _strip_sign(arg)
-        return normalize(Product((MINUS_ONE, Sin(stripped)))) if sign < 0 else Sin(arg)
-    if isinstance(e, Cos):  # even: a leading minus sign of the argument drops
-        return ONE if arg == ZERO else Cos(_strip_sign(arg)[1])
-    raise TypeError(f"unknown node {e!r}")
 
 
 def is_structurally_zero(e: Expr) -> bool:
@@ -963,58 +964,53 @@ def _derivative(n: Expr, v: str) -> Expr:
     place.  Any other factor takes the product rule with its own kept
     derivative, and that product alone is multiplied out.  A node that is
     neither a sum nor a product takes one level of ``_diff``.  The parts
-    collect as a sum's terms do, into the normal form of the raw derivative.
+    add as pairs, into the normal form of the raw derivative.
     """
     if not isinstance(n, (Sum, Product)):
         return normalize(_diff(n, v, lambda child: differentiate(child, v)))
-    shifted: dict[tuple[Expr, ...], int | Fraction] = {}
-    parts: list[Expr] = []
-    for t in n.terms if isinstance(n, Sum) else (n,):
-        if not isinstance(t, Product):
-            parts.append(differentiate(t, v))
-            continue
-        coeff, factors = _split_term(t)
-        for i, f in enumerate(factors):
+    shifted: dict = {}
+    parts = [(shifted, None)]
+    for fs, c in _pair(n)[0].items():
+        for i, f in enumerate(fs):
             base, k = _base_exponent(f)
             if isinstance(base, Coordinate):
-                if base.name != v:
-                    continue
-                rest = factors[:i] + factors[i + 1 :]
-                if k != 1:
-                    rest = tuple(sorted(rest + (base if k == 2 else _power(base, k - 1),), key=_sort_key))
-                shifted[rest] = shifted.get(rest, 0) + _exact(coeff) * k
-                continue
-            df = differentiate(f, v)
-            if not (isinstance(df, Constant) and df.value == 0):
-                parts.append(Product((_constant(coeff), *factors[:i], df, *factors[i + 1 :])))
-    return _collect(parts, shifted)
+                if base.name == v:
+                    rest = fs[:i] + fs[i + 1 :]
+                    if k != 1:
+                        rest = tuple(sorted(rest + (base if k == 2 else _power(base, k - 1),), key=_sort_key))
+                    shifted[rest] = shifted.get(rest, 0) + c * k
+            elif (df := differentiate(f, v)) != ZERO:
+                parts.append(_mul([({fs[:i] + fs[i + 1 :]: c}, None), _pair(df)]))
+    return _expr(*_add(parts))
 
 
 def _diff(e: Expr, v: str, inner=None) -> Expr:
     """The raw derivative by the sum, product, quotient and chain rules.
 
     The derivatives of the children come from ``inner``; by default they are
-    this raw derivative again, all the way down.
+    this raw derivative again, all the way down.  A node free of ``v`` has
+    derivative 0, and a rule leaves out each part with a derivative 0 in it,
+    as ``_derivative`` does: 0 times a singular factor would not be 0.
     """
     if inner is None:
         inner = lambda child: _diff(child, v)  # noqa: E731
-    if isinstance(e, Constant):
+    if v not in free_coordinates(e):
         return ZERO
     if isinstance(e, Coordinate):
-        return ONE if e.name == v else ZERO
+        return ONE
     if isinstance(e, Sum):
         return Sum(tuple(inner(t) for t in e.terms))
     if isinstance(e, Product):
-        terms = []
-        for i, f in enumerate(e.factors):
-            terms.append(Product(e.factors[:i] + (inner(f),) + e.factors[i + 1 :]))
-        return Sum(tuple(terms))
+        fs = e.factors
+        return Sum(tuple(Product(fs[:i] + (df,) + fs[i + 1 :])
+                         for i, df in enumerate(map(inner, fs)) if df != ZERO))
     if isinstance(e, Quotient):
         num, den = e.numerator, e.denominator
-        return Quotient(
-            Sum((Product((inner(num), den)), Product((MINUS_ONE, num, inner(den))))),
-            IntegerPower(den, 2),
-        )
+        dnum, dden = inner(num), inner(den)
+        parts = [Product((dnum, den))] if dnum != ZERO else []
+        if dden != ZERO:
+            parts.append(Product((MINUS_ONE, num, dden)))
+        return Quotient(Sum(tuple(parts)), IntegerPower(den, 2))
     if isinstance(e, IntegerPower):
         return Product(
             (Constant(Fraction(e.exponent)), IntegerPower(e.base, e.exponent - 1), inner(e.base))

@@ -652,16 +652,17 @@ def second_forms(e) -> list:
     product or sum with a quotient over a sum among its factors or terms
     (the quotient takes them into its numerator), a product with a sum or
     product factor (it is multiplied out or flattened) and a sum with a sum
-    term (it is flattened)."""
+    term (it is flattened).  A quotient over 0 is singular and whole, and it
+    and its powers have no other form."""
     found, stack = [], [e]
     while stack:
         n = stack.pop()
         if isinstance(n, Quotient):
-            if not isinstance(n.denominator, Sum):
+            if not isinstance(n.denominator, Sum) and n.denominator != ZERO:
                 found.append(n)
             stack += (n.numerator, n.denominator)
         elif isinstance(n, IntegerPower):
-            if isinstance(n.base, (Quotient, Product, Sum, Exp)):
+            if isinstance(n.base, (Product, Sum, Exp)) or isinstance(n.base, Quotient) and n.base.denominator != ZERO:
                 found.append(n)
             stack.append(n.base)
         elif isinstance(n, (Product, Sum)):

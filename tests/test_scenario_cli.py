@@ -1,16 +1,20 @@
 """Scenario loading/validation, the runner, the CLI, and report determinism."""
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from diracjacobi import scenario
 from diracjacobi.cli import fixture_names, main, resolve_scenario_path
@@ -622,3 +626,64 @@ def test_an_exp_merge_identity_is_a_proof(tmp_path):
                  'expr: "exp(ln(1+x)/2)*exp(ln(1+x)/2) - 1 - x"}]\n')
     (outcome,) = run_scenario(load_scenario(p)).outcomes
     assert (outcome.result.verdict, outcome.result.mode) == (CheckVerdict.PASS, "symbolic")
+
+
+@pytest.mark.parametrize("text", ["(x-x)/(y-y)", "(x-x)*(1/(y-y))", "x*(y-y)^-1*0", "0*(1/0)"])
+def test_a_zero_factor_keeps_a_singular_one(tmp_path, text):
+    # each has a value nowhere, so expr-zero can neither prove nor sample it
+    p = tmp_path / "singular.scn"
+    p.write_text(f'name: singular\ncharts: {{M: [x, y]}}\n'
+                 f'checks: [{{check: expr-zero, chart: M, expr: "{text}"}}]\n')
+    (outcome,) = run_scenario(load_scenario(p)).outcomes
+    assert outcome.result.verdict is CheckVerdict.ERROR
+    assert "exhausted" in outcome.result.details[0]
+
+
+# -- no scenario document ends in a traceback ----------------------------------
+
+EXPRESSIONS = ("x", "x - x", "x*y + 1", "1/(x-x)", "(x-x)/(y-y)", "0*(1/0)", "exp(x)", "ln(0)",
+               "y^-2", "sin(x)^2 + cos(x)^2 - 1", "x +", "exp(", "q", "2^99999999", "9" * 40, "")
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.just(10**30),
+                 st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1e300]),
+                 st.sampled_from(["M", "x", "L", "t", "tm", "e1", "fail"]), st.sampled_from(EXPRESSIONS))
+WORDS = (*TOP_LEVEL_KEYS, *CHECKS, *STRUCTURES, *GROUPOIDS, "chart", "expr", "kind", "form", "degree",
+         "coeffs", "structure", "check", "name", "expect", "values", "components", "base", "of", "x",
+         "y", "M", "L", "0,1", "junk")
+VALUES = st.recursive(JUNK, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.sampled_from(WORDS), inner, max_size=3), max_leaves=10)
+EXPRESSION = st.sampled_from(EXPRESSIONS)
+# checks that load on the base document below, and any check kind with junk arguments
+CHECK_ENTRIES = st.one_of(
+    st.builds(lambda e: {"check": "expr-zero", "chart": "M", "expr": e}, EXPRESSION),
+    st.builds(lambda a, b: {"check": "cocycle-values", "structure": "L", "values": [a, b]},
+              EXPRESSION, EXPRESSION),
+    st.sampled_from([{"check": kind, "structure": "L"}
+                     for kind in ("maximal-isotropy", "involutivity", "cocycle")]),
+    st.builds(lambda kind, args: {"check": kind, **args}, st.sampled_from(sorted(CHECKS)),
+              st.dictionaries(st.sampled_from(WORDS), VALUES, max_size=3)),
+)
+BASE = st.fixed_dictionaries({
+    "name": st.just("fuzz"),
+    "samples": st.integers(1, 5),
+    "charts": st.just({"M": ["x", "y"]}),
+    "forms": st.builds(lambda e: {"theta": {"chart": "M", "degree": 1, "coeffs": {"y": e}}}, EXPRESSION),
+    "structures": st.just({"L": {"kind": "theta", "form": "theta"}}),
+    "checks": st.lists(st.builds(lambda entry, extra: {**entry, **extra}, CHECK_ENTRIES,
+                                 st.just({}) | st.dictionaries(st.sampled_from(WORDS), VALUES, max_size=1)),
+                       min_size=1, max_size=3),
+})
+# a junk document, or the base document with a top-level key or two set to junk
+DOCUMENTS = VALUES | st.builds(lambda base, junk: {**base, **junk}, BASE, st.just({}) | st.dictionaries(
+    st.sampled_from((*TOP_LEVEL_KEYS, "junk")), VALUES, min_size=1, max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(DOCUMENTS)
+def test_no_scenario_document_ends_in_a_traceback(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scn"
+        path.write_text(yaml.safe_dump(document))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(["run", str(path)])
+    assert code in (0, 1, 2), out.getvalue()

@@ -606,6 +606,8 @@ def test_the_form_checker_finds_second_forms(r2):
     x, y = P(r2, "x"), P(r2, "y")
     q = Quotient(x, P(r2, "1 + y"))
     assert second_forms(Quotient(ONE, y)) == [Quotient(ONE, y)]
+    for singular in (Quotient(ONE, ZERO), IntegerPower(Quotient(ONE, ZERO), 2)):
+        assert second_forms(singular) == []
     for base in (q, Product((x, y)), P(r2, "1 + y"), Exp(x)):
         assert second_forms(Sum((x, IntegerPower(base, 2)))) == [IntegerPower(base, 2)]
     one_plus_y = P(r2, "1 + y")

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from diracjacobi import chart_tensor
 from diracjacobi.symcalc import (
+    ONE,
     ZERO,
     Constant,
     Coordinate,
@@ -484,6 +485,16 @@ def test_a_singular_quotient_stays_whole():
     assert parse("x/0 - x/0", XY) == ZERO  # equal singular terms cancel
     x, y = Coordinate("x"), Coordinate("y")
     assert parse("y*(x/0)", XY) == Product((y, Quotient(x, ZERO)))  # a factor, not a numerator
+
+
+@pytest.mark.parametrize("text", ["(x-x)*(1/(y-y))", "x*(y-y)^-1*0", "0*(1/0)", "0/(1/0 + x)",
+                                  "0*sin(1/0)", "exp(ln(x)/2)*0*exp(ln(x)/2)*(1/0)"])
+def test_a_zero_factor_keeps_a_singular_one(text):
+    assert parse(text, XY) == parse("(x-x)/(y-y)", XY) == Quotient(ZERO, ZERO)
+
+
+def test_one_over_zero_has_one_form():
+    assert parse("0^-1", XY) == parse("0^-3", XY) == parse("1/0", XY) == Quotient(ONE, ZERO)
 
 
 RATIONAL = exprs(functions=(), exponents=st.integers(-3, 3))
