@@ -592,9 +592,12 @@ def _multiply(coeff: int | Fraction, factors: Sequence[Expr], sums: Sequence[dic
         buckets, left = _packed(coeff, mono, left, sums)
     if not left:
         return buckets, None
-    return _add(_mul([({tuple(f for f in fs if not _merge_leftover(f)): c}, None),
-                      *(_raise(_pair(b), n) for b, n in map(_base_exponent, fs) if _merge_leftover(b))])
-                for fs, c in buckets.items())
+    parts = []
+    for fs, c in buckets.items():
+        rest = tuple(f for f in fs if not _merge_leftover(f))
+        leftovers = [_raise(_pair(b), n) for b, n in map(_base_exponent, fs) if _merge_leftover(b)]
+        parts.append(_mul([({rest: c}, None), *leftovers]))
+    return _add(parts)
 
 
 def _packed(coeff: int | Fraction, mono: tuple, left: bool, sums: Sequence[dict]) -> tuple[dict, bool]:
