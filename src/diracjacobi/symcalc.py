@@ -342,14 +342,6 @@ def _base_exponent(f: Expr) -> tuple[Expr, int]:
     return (f.base, f.exponent) if isinstance(f, IntegerPower) else (f, 1)
 
 
-def _merge_leftover(f: Expr) -> bool:
-    """Whether the monomial factor ``f`` is, or is a power of, what an exp
-    merge left (exp(ln(u)) is u) to be multiplied out: a sum, a product or a
-    quotient over a sum."""
-    base = _base_exponent(f)[0]
-    return isinstance(base, (Sum, Product)) or isinstance(base, Quotient) and base.denominator != ZERO
-
-
 def _mark(e: Expr) -> Expr:
     """Tag a node as fully normalized (identity-based, immutable trees)."""
     object.__setattr__(e, "_norm", True)
@@ -569,10 +561,9 @@ def _monomial(coeff: int | Fraction, factors: Iterable[Expr]) -> tuple[int | Fra
         exps = [merged] if isinstance(merged, Exp) else []
         if isinstance(merged, Constant):
             coeff *= _exact(merged.value)
-        elif not exps:
-            base, n = _base_exponent(merged)
-            powers[base] = powers.get(base, 0) + n
-            left = _merge_leftover(merged)
+        elif not exps:  # the u of exp(ln(u)), multiplied out at the end
+            powers[merged] = powers.get(merged, 0) + 1
+            left = True
     out = [base if n == 1 else _power(base, n) for base, n in powers.items() if n != 0] + exps
     if len(out) > 1:
         out.sort(key=_sort_key)
@@ -581,8 +572,9 @@ def _monomial(coeff: int | Fraction, factors: Iterable[Expr]) -> tuple[int | Fra
 
 def _multiply(coeff: int | Fraction, factors: Sequence[Expr], sums: Sequence[dict]) -> Pair:
     """coeff times monomial factors times polynomials, multiplied out in
-    full.  Where an exp merge left a factor u to multiply out, each monomial
-    is multiplied again with u's pair in place of u."""
+    full.  Where an exp merge left a factor u (exp(ln(u)) is u), each
+    monomial is multiplied again, each factor afresh, so u is multiplied
+    out."""
     coeff, mono, left = _monomial(coeff, factors)
     if coeff == 0:  # exp(ln(0)) is 0
         return _mul([({}, None), ({mono: 1}, None), *((s, None) for s in sums)])
@@ -592,12 +584,8 @@ def _multiply(coeff: int | Fraction, factors: Sequence[Expr], sums: Sequence[dic
         buckets, left = _packed(coeff, mono, left, sums)
     if not left:
         return buckets, None
-    parts = []
-    for fs, c in buckets.items():
-        rest = tuple(f for f in fs if not _merge_leftover(f))
-        leftovers = [_raise(_pair(b), n) for b, n in map(_base_exponent, fs) if _merge_leftover(b)]
-        parts.append(_mul([({rest: c}, None), *leftovers]))
-    return _add(parts)
+    return _add([_mul([({(): c}, None), *(_raise(_pair(b), n) for b, n in map(_base_exponent, fs))])
+                 for fs, c in buckets.items() if c])
 
 
 def _packed(coeff: int | Fraction, mono: tuple, left: bool, sums: Sequence[dict]) -> tuple[dict, bool]:
@@ -612,7 +600,7 @@ def _packed(coeff: int | Fraction, mono: tuple, left: bool, sums: Sequence[dict]
     dict per exp factor; each pass multiplies every one of them by every term
     with one int addition, and equal monomials collect as they form.  Two exp
     factors merge once per pair of them; a merge that leaves no exp
-    (exp(ln(u)) is u) adds u's exponents to the key.
+    (exp(ln(u)) is u) adds u to the key as a base of its own.
     """
     slots: dict[Expr, int] = {}  # base -> slot
     exps: dict[Expr, int] = {}  # exp factor -> id; id 0 is no exp factor
@@ -629,50 +617,33 @@ def _packed(coeff: int | Fraction, mono: tuple, left: bool, sums: Sequence[dict]
 
     rows = [[split(coeff, mono)]] + [[split(c, fs) for fs, c in s.items()] for s in sums]
     exp_nodes = [None, *exps]
-
-    def merge(ea: int, eb: int) -> tuple[int | Fraction, int, list[tuple[int, int]]]:
-        # exp(a) * exp(b) as (rational factor, exp id, [(slot, exponent)]):
-        # exp(a + b) is one exp factor unless a + b is 0 or ln(c), a
-        # constant, or ln(u), the node u
-        nonlocal left
-        if not (ea and eb):
-            return 1, ea or eb, []
-        merged = normalize(Exp(normalize(Sum((exp_nodes[ea].arg, exp_nodes[eb].arg)))))
-        if isinstance(merged, Constant):
-            return _exact(merged.value), 0, []
-        if isinstance(merged, Exp):
-            if merged not in exps:
-                exps[merged] = len(exp_nodes)
-                exp_nodes.append(merged)
-            return 1, exps[merged], []
-        left = left or _merge_leftover(merged)
-        base, n = _base_exponent(merged)
-        return 1, 0, [(slots.setdefault(base, len(slots)), n)]
-
-    # every exp merge a pass can meet, found before packing, so that the
-    # exponents a merge adds count toward the slot width
-    merges: dict[tuple[int, int], tuple[int | Fraction, int, list]] = {}
-    bound = 0
-    live = {rows[0][0][2]}
-    for r, row in enumerate(rows):
-        bound += max((abs(n) for _, powers, _ in row for _, n in powers), default=0)
-        if r == 0:
-            continue
-        reached, extra = set(), 0
-        for ea in live:
-            for eb in {eid for _, _, eid in row}:
-                if (ea, eb) not in merges:
-                    merges[(ea, eb)] = merge(ea, eb)
-                _, eo, delta = merges[(ea, eb)]
-                reached.add(eo)
-                extra = max(extra, *(abs(n) for _, n in delta), 0)
-        bound += extra
-        live = reached
+    # a pass adds at most its largest exponent to a slot, and an exp merge
+    # one more, so no slot overflows into the next
+    bound = sum(max((abs(n) for _, powers, _ in row for _, n in powers), default=0) + 1 for row in rows)
     width = bound.bit_length() + 1
 
     def key(powers) -> int:
         return sum(n << (width * slot) for slot, n in powers)
 
+    def merge(ea: int, eb: int) -> tuple[int | Fraction, int, int]:
+        # exp(a) * exp(b) as (rational factor, exp id, key shift): exp(a + b)
+        # is one exp factor unless a + b is 0 or ln(c), a constant, or ln(u),
+        # the node u, a base of its own
+        nonlocal left
+        if not (ea and eb):
+            return 1, ea or eb, 0
+        merged = normalize(Exp(normalize(Sum((exp_nodes[ea].arg, exp_nodes[eb].arg)))))
+        if isinstance(merged, Constant):
+            return _exact(merged.value), 0, 0
+        if isinstance(merged, Exp):
+            if merged not in exps:
+                exps[merged] = len(exp_nodes)
+                exp_nodes.append(merged)
+            return 1, exps[merged], 0
+        left = True
+        return 1, 0, 1 << (width * slots.setdefault(merged, len(slots)))
+
+    merges: dict[tuple[int, int], tuple[int | Fraction, int, int]] = {}
     acc: dict[int, dict[int, int | Fraction]] = {rows[0][0][2]: {key(rows[0][0][1]): coeff}}
     for row in rows[1:]:
         by_exp: dict[int, list[tuple[int, int | Fraction]]] = {}
@@ -681,9 +652,10 @@ def _packed(coeff: int | Fraction, mono: tuple, left: bool, sums: Sequence[dict]
         out: dict[int, dict[int, int | Fraction]] = {}
         for ea, part in acc.items():
             for eb, terms in by_exp.items():
-                mult, eo, delta = merges[(ea, eb)]
-                if mult != 1 or delta:
-                    shift = key(delta)
+                if (ea, eb) not in merges:
+                    merges[(ea, eb)] = merge(ea, eb)
+                mult, eo, shift = merges[(ea, eb)]
+                if mult != 1 or shift:
                     terms = [(kt + shift, ct * mult) for kt, ct in terms]
                 dst = out.setdefault(eo, {})
                 for ka, ca in part.items():
@@ -713,7 +685,8 @@ def _packed(coeff: int | Fraction, mono: tuple, left: bool, sums: Sequence[dict]
                     fs.append(f)
             if len(fs) > 1:
                 fs.sort(key=_sort_key)
-            buckets[tuple(fs)] = c
+            fs = tuple(fs)  # two keys meet only where a merge's u is a power of another base
+            buckets[fs] = buckets.get(fs, 0) + c
     return buckets, left
 
 

@@ -545,6 +545,7 @@ def test_what_an_exp_merge_leaves_is_multiplied_out(text, want):
 
 @settings(max_examples=100, deadline=None)
 @given(RATIONAL, RATIONAL)
+@example(Product((X, X)), X)  # u = x^2 meets the x^2 of b*b as another monomial key
 def test_an_exp_merge_leaves_one_normal_form(u, b):
     # exp(ln(u)/2)^2 is u, met within one monomial and across two sums
     half = Exp(Product((Constant(Fraction(1, 2)), Ln(u))))
