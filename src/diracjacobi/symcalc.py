@@ -698,8 +698,6 @@ def _strip_sign(e: Expr) -> tuple[int, Expr]:
     return 1, e
 
 
-
-
 def is_structurally_zero(e: Expr) -> bool:
     n = normalize(e)
     return isinstance(n, Constant) and n.value == 0
@@ -855,7 +853,10 @@ def _literal(text: str, pos: int) -> Fraction:
 
 def parse(text: str, coords: Sequence[str]) -> Expr:
     """Parse ``text`` over the coordinate names ``coords``; result is normalized."""
-    return normalize(_Parser(text, coords).parse())
+    try:
+        return normalize(_Parser(text, coords).parse())
+    except RecursionError:  # parsing and normalization recurse once per level of nesting
+        raise ExprError("expression nested too deeply") from None
 
 
 # --------------------------------------------------------------------------

@@ -194,6 +194,8 @@ ONE_CHECK = "checks: [{check: involutivity, structure: L0}]\n"
          f"more than {sys.get_int_max_str_digits()} digits"),
         ('checks: [{check: expr-zero, chart: M, expr: "' + "9" * 3000 + "*" + "9" * 3000
          + ' - x"}]\n', f"folded constant has more than {sys.get_int_max_str_digits()} digits"),
+        ('checks: [{check: expr-zero, chart: M, expr: "' + "(" * 400 + "x" + ")" * 400 + '"}]\n',
+         "expr: expression nested too deeply"),
     ],
     ids=["box-not-numbers", "tol-not-a-number", "box-empty", "cochain-index-not-integers",
          "cochain-index-three-slots", "cochain-index-out-of-range", "cocycle-values-not-a-list",
@@ -202,7 +204,7 @@ ONE_CHECK = "checks: [{check: involutivity, structure: L0}]\n"
          "precontact-key-misspelt", "top-level-key-misspelt", "top-level-section-misspelt",
          "pair-coordinate-not-read-off", "cochain-pair-in-both-orientations",
          "literal-past-the-int-conversion-limit", "constant-power-past-the-int-conversion-limit",
-         "constant-product-past-the-int-conversion-limit"],
+         "constant-product-past-the-int-conversion-limit", "expression-nested-too-deeply"],
 )
 def test_malformed_values_exit_2_at_load(tmp_path, capsys, extra, problem):
     p = tmp_path / "malformed.scn"
@@ -642,7 +644,8 @@ def test_a_zero_factor_keeps_a_singular_one(tmp_path, text):
 # -- no scenario document ends in a traceback ----------------------------------
 
 EXPRESSIONS = ("x", "x - x", "x*y + 1", "1/(x-x)", "(x-x)/(y-y)", "0*(1/0)", "exp(x)", "ln(0)",
-               "y^-2", "sin(x)^2 + cos(x)^2 - 1", "x +", "exp(", "q", "2^99999999", "9" * 40, "")
+               "y^-2", "sin(x)^2 + cos(x)^2 - 1", "x +", "exp(", "q", "2^99999999", "9" * 40, "",
+               "(" * 400 + "x" + ")" * 400)
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.just(10**30),
                  st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1e300]),
                  st.sampled_from(["M", "x", "L", "t", "tm", "e1", "fail"]), st.sampled_from(EXPRESSIONS))

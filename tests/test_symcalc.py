@@ -94,6 +94,17 @@ class TestParse:
             parse(text, XY)
 
     @pytest.mark.parametrize("text", [
+        pytest.param("(" * 400 + "x" + ")" * 400, id="parentheses"),
+        pytest.param("exp(" * 400 + "x" + ")" * 400, id="functions"),
+        pytest.param("-" * 3000 + "x", id="signs"),
+        pytest.param("*".join(["x"] * 3000), id="product"),
+    ])
+    def test_nesting_past_the_recursion_limit_is_an_expr_error(self, text):
+        # a product chain nests as it parses, x*x*x as (x*x)*x
+        with pytest.raises(ExprError, match="nested too deeply"):
+            parse(text, XY)
+
+    @pytest.mark.parametrize("text", [
         "2^99999999 - x", "(1/3)^-99999999", "(-7)^6000 + y",
         pytest.param("9" * 3000 + "*" + "9" * 3000 + " - x", id="folded-product"),
         pytest.param("1/" + "7" * 2200 + "/" + "3" * 2200 + " + y", id="folded-quotient"),
